@@ -29,11 +29,12 @@ pub trait RegionQuery {
     /// in exactly the order [`RegionQuery::neighbors`] would report it.
     ///
     /// The default implementation delegates to `neighbors`, so providers that
-    /// don't care about allocation (the brute-force test index, the
-    /// sub-trajectory query) keep working unchanged; hot-path providers like
-    /// [`crate::GridIndex`] override it to reuse the caller's buffer and
-    /// answer through the batched [`crate::kernel`] distance scan. The
-    /// scratch-driven DBSCAN below only ever calls this entry point.
+    /// don't care about allocation (the brute-force test index) keep working
+    /// unchanged; hot-path providers override it to reuse the caller's
+    /// buffer — [`crate::GridIndex`] answers through the batched
+    /// [`crate::kernel`] distance scan, the sub-trajectory index copies a
+    /// precomputed adjacency row. The scratch-driven DBSCAN below only ever
+    /// calls this entry point.
     fn neighbors_into(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.neighbors(idx));

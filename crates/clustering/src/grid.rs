@@ -367,7 +367,7 @@ impl GridIndex {
     /// probing with tag comparison plus exact key verification, so the hash
     /// only affects speed, never correctness.
     #[inline]
-    fn hash_key(key: u128) -> u64 {
+    pub(crate) fn hash_key(key: u128) -> u64 {
         let lo = key as u64;
         let hi = (key >> 64) as u64;
         (hi ^ lo.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -414,7 +414,7 @@ impl GridIndex {
     const CELL_LIMIT: f64 = (1i64 << 62) as f64;
 
     #[inline]
-    fn cell_coord(v: f64, epsilon: f64) -> i64 {
+    pub(crate) fn cell_coord(v: f64, epsilon: f64) -> i64 {
         let cell = (v / epsilon).floor();
         if cell.is_nan() {
             // NaN coordinates (rejected upstream at `Trajectory`
@@ -438,7 +438,7 @@ impl GridIndex {
     /// (bucket lookup only ever tests equality of exact keys, so the packed
     /// ordering does not need to match the lexicographic `(i64, i64)` one).
     #[inline]
-    fn pack((cx, cy): (i64, i64)) -> u128 {
+    pub(crate) fn pack((cx, cy): (i64, i64)) -> u128 {
         ((cx as u64 as u128) << 64) | (cy as u64 as u128)
     }
 

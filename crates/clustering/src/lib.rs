@@ -14,11 +14,12 @@
 //!   [`trajectory::Snapshot`] into object-id clusters, and
 //!   [`SnapshotClusterer`]: its reusable-scratch form, allocation-free in
 //!   steady state — what every per-tick engine loop holds on to;
-//! * [`SubTrajectory`] + [`cluster_sub_trajectories`]: the "TRAJ-DBSCAN" of
+//! * [`SubTrajectory`] + [`SubTrajectoryScratch`]: the "TRAJ-DBSCAN" of
 //!   the paper's Algorithm 2 — density clustering of *simplified
 //!   sub-trajectories* within one time partition, using the ω distance with
 //!   the Lemma 1 / Lemma 3 error bounds and the Lemma 2 bounding-box
-//!   pre-filter;
+//!   pre-filter, over a per-partition CSR grid rebuilt in reused buffers
+//!   ([`cluster_sub_trajectories`] is its one-shot form);
 //! * [`ShardGrid`] + [`shard_clusters`] + [`merge_shard_clusters`]: spatially
 //!   sharded snapshot clustering — per-shard DBSCAN over owned objects plus
 //!   a boundary halo, merged back into exactly the global clustering (the
@@ -61,7 +62,10 @@ pub use dbscan::{
     dbscan, dbscan_with_core_flags, dbscan_with_core_flags_into, DbscanScratch, Label, RegionQuery,
 };
 pub use grid::{snapshot_clusters, GridIndex, SnapshotClusterer};
-pub use segment::{cluster_sub_trajectories, omega_distance, SegmentDistance, SubTrajectory};
+pub use segment::{
+    cluster_sub_trajectories, omega_distance, SegmentDistance, SubTrajectory,
+    SubTrajectoryCounters, SubTrajectoryPool, SubTrajectoryScratch,
+};
 pub use shard::{
     merge_shard_clusters, shard_clusters, shard_clusters_with, sharded_snapshot_clusters,
     ShardClusters, ShardGrid, ShardScratch,

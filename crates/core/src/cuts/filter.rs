@@ -12,9 +12,9 @@ use crate::cuts::CutsConfig;
 use crate::params::{auto_delta, auto_lambda};
 use crate::query::ConvoyQuery;
 use serde::{Deserialize, Serialize};
-use traj_cluster::SubTrajectory;
+use traj_cluster::{SubTrajectoryPool, SubTrajectoryScratch};
 use traj_simplify::SimplifiedTrajectory;
-use trajectory::{ObjectId, TimePartition, TrajectoryDatabase};
+use trajectory::{ObjectId, TimeInterval, TimePartition, TrajectoryDatabase};
 
 /// The output of the filter step: candidate convoys plus the bookkeeping the
 /// refinement step and the benchmark harness need.
@@ -35,6 +35,28 @@ pub struct FilterOutput {
     pub original_points: usize,
     /// Total number of samples after simplification.
     pub simplified_points: usize,
+    /// What the partition loop did, and how much each pruning step saved.
+    pub stats: FilterStats,
+}
+
+/// Work counters of one filter run: how many sub-trajectories the
+/// partitions held and how the index, the temporal test and Lemma 2 thinned
+/// the candidate pairs before the exact ω evaluation. [`crate::Discovery`]
+/// records them as the `cuts.*` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FilterStats {
+    /// λ-partitions visited.
+    pub partitions: u64,
+    /// Sub-trajectories collected, summed over the partitions.
+    pub sub_trajectories: u64,
+    /// Candidate pairs the sub-trajectory grid produced.
+    pub grid_candidates: u64,
+    /// Candidate pairs pruned because their time intervals are disjoint.
+    pub temporal_prunes: u64,
+    /// Candidate pairs pruned by the Lemma 2 bounding-box test.
+    pub lemma2_prunes: u64,
+    /// Exact ω evaluations (Lemma 1 / Lemma 3).
+    pub omega_evaluations: u64,
 }
 
 impl FilterOutput {
@@ -87,6 +109,7 @@ pub fn filter_simplified(
             lambda,
             original_points,
             simplified_points,
+            stats: FilterStats::default(),
         };
     };
 
@@ -99,19 +122,41 @@ pub fn filter_simplified(
     // clusters into candidate chains.
     let mut partitions: Vec<PartitionClusters> = Vec::with_capacity(partition.len());
     let mut chain = CandidateChain::new(query);
+    let spans: Vec<TimeInterval> = simplified.iter().map(|(_, s)| s.time_interval()).collect();
+    let mut cursors = vec![0; simplified.len()];
+    let mut pool = SubTrajectoryPool::new();
+    let mut scratch = SubTrajectoryScratch::new();
+    let mut sub_trajectories = 0u64;
 
     for window in partition.iter() {
         // Collect the sub-trajectories of every object present in this
-        // partition (line 9–10 of Algorithm 2).
-        let items: Vec<SubTrajectory> = simplified
-            .iter()
-            .filter_map(|(id, s)| SubTrajectory::for_window(*id, s, window))
-            .collect();
-        let clustered = cluster_partition(window, &items, query, distance, mode);
+        // partition (line 9–10 of Algorithm 2). Windows ascend, so each
+        // object's segment cursor only moves forward, and an object whose
+        // time span misses the window is skipped without a search.
+        pool.clear();
+        for (i, (id, s)) in simplified.iter().enumerate() {
+            if spans[i].intersects(&window) {
+                pool.push_with(*id, s.global_tolerance(), |sub| {
+                    sub.extend_for_window(s, window, &mut cursors[i]);
+                });
+            }
+        }
+        let items = pool.items();
+        sub_trajectories += items.len() as u64;
+        let clustered = cluster_partition(window, items, query, distance, mode, &mut scratch);
         chain.fold(&clustered);
         partitions.push(clustered);
     }
 
+    let counters = scratch.counters();
+    let stats = FilterStats {
+        partitions: partitions.len() as u64,
+        sub_trajectories,
+        grid_candidates: counters.grid_candidates,
+        temporal_prunes: counters.temporal_prunes,
+        lemma2_prunes: counters.lemma2_prunes,
+        omega_evaluations: counters.omega_evaluations,
+    };
     FilterOutput {
         candidates: chain.finish(),
         partitions,
@@ -119,6 +164,7 @@ pub fn filter_simplified(
         lambda,
         original_points,
         simplified_points,
+        stats,
     }
 }
 
@@ -178,6 +224,25 @@ mod tests {
             assert!(output.delta > 0.0);
             assert!(output.lambda >= 2);
             assert!(output.simplified_points <= output.original_points);
+        }
+    }
+
+    #[test]
+    fn filter_stats_account_for_every_candidate_pair() {
+        let db = convoy_db();
+        let query = ConvoyQuery::new(3, 10, 1.5);
+        for variant in CutsVariant::ALL {
+            let output = filter(&db, &query, &CutsConfig::new(variant));
+            let stats = output.stats;
+            assert_eq!(stats.partitions, output.partitions.len() as u64);
+            // Four objects present over the whole domain.
+            assert_eq!(stats.sub_trajectories, 4 * stats.partitions);
+            assert!(stats.omega_evaluations > 0);
+            assert_eq!(
+                stats.grid_candidates,
+                stats.temporal_prunes + stats.lemma2_prunes + stats.omega_evaluations,
+                "{variant}: every candidate pair is pruned or evaluated exactly once"
+            );
         }
     }
 

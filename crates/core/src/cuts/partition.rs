@@ -13,7 +13,7 @@
 use crate::candidate::CandidateConvoy;
 use crate::query::ConvoyQuery;
 use serde::{Deserialize, Serialize};
-use traj_cluster::{cluster_sub_trajectories, Cluster, SegmentDistance, SubTrajectory};
+use traj_cluster::{Cluster, SegmentDistance, SubTrajectory, SubTrajectoryScratch};
 use traj_simplify::ToleranceMode;
 use trajectory::TimeInterval;
 
@@ -35,19 +35,18 @@ pub struct PartitionClusters {
 /// filter and the streaming filter.
 ///
 /// Fewer than `m` sub-trajectories can never form a cluster, so the
-/// clustering is skipped outright in that case.
+/// clustering is skipped outright in that case. `scratch` is working memory
+/// reused from partition to partition (never result state): each filter
+/// holds one for its whole run.
 pub fn cluster_partition(
     window: TimeInterval,
     items: &[SubTrajectory],
     query: &ConvoyQuery,
     distance: SegmentDistance,
     mode: ToleranceMode,
+    scratch: &mut SubTrajectoryScratch,
 ) -> PartitionClusters {
-    let clusters = if items.len() < query.m {
-        Vec::new()
-    } else {
-        cluster_sub_trajectories(items, query.e, query.m, distance, mode)
-    };
+    let clusters = scratch.cluster(items, query.e, query.m, distance, mode);
     PartitionClusters { window, clusters }
 }
 
@@ -301,6 +300,7 @@ mod tests {
             &query,
             SegmentDistance::Dll,
             ToleranceMode::Actual,
+            &mut SubTrajectoryScratch::new(),
         );
         assert!(out.clusters.is_empty());
         assert_eq!(out.window, TimeInterval::new(0, 4));

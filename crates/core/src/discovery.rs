@@ -101,7 +101,9 @@ impl Discovery {
     /// Attaches a metrics recorder: the run emits a `discover` root span
     /// with one child span per stage (`discover.simplify` / `discover.filter`
     /// / `discover.refine` for the CuTS family, the engine's span tree for
-    /// CMC) plus the `cmc.*` / `cluster.*` metrics of whatever fold executes.
+    /// CMC) plus the `cmc.*` / `cluster.*` metrics of whatever fold executes
+    /// and, for the CuTS family, the filter's `cuts.*` work counters
+    /// ([`crate::cuts::filter::FilterStats`]).
     /// The default is the no-op recorder.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
@@ -222,6 +224,17 @@ impl Discovery {
                 let filter_started = Instant::now();
                 let output = filter_simplified(&simplified, db, query, &self.config, delta);
                 let filter_time = filter_started.elapsed();
+                let filter_stats = &output.stats;
+                for (name, value) in [
+                    ("cuts.partitions", filter_stats.partitions),
+                    ("cuts.sub_trajectories", filter_stats.sub_trajectories),
+                    ("cuts.grid_candidates", filter_stats.grid_candidates),
+                    ("cuts.temporal_prunes", filter_stats.temporal_prunes),
+                    ("cuts.lemma2_prunes", filter_stats.lemma2_prunes),
+                    ("cuts.omega_evaluations", filter_stats.omega_evaluations),
+                ] {
+                    self.obs.counter_add(name, value);
+                }
                 self.obs.span_end(filter_span);
 
                 // Stage 3: refinement — the coverage-restricted CmcState

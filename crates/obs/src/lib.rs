@@ -33,6 +33,8 @@
 //! | `discover.simplify_ns` / `filter_ns` / `refine_ns` | counter | Fig. 13 — stage time breakdown |
 //! | `discover.candidates` | counter | Fig. 16 — candidate count vs λ/δ |
 //! | `discover.refinement_units` | counter | Fig. 17 — refinement-unit cost |
+//! | `cuts.partitions` / `sub_trajectories` | counter | CuTS filter input (Alg. 2, lines 9–10) |
+//! | `cuts.grid_candidates` / `temporal_prunes` / `lemma2_prunes` / `omega_evaluations` | counter | what the grid, the temporal test and Lemma 2 pruned before ω (Lemmas 1–3) |
 //! | `discover.convoys` | counter | result cardinality |
 //! | `cmc.ticks_ingested`, `cmc.clusters_per_tick` | counter / histogram | CMC fold progress (Alg. 1) |
 //! | `cmc.peak_candidates`, `cmc.candidates_open` | gauge | candidate-set pressure |

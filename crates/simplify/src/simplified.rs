@@ -238,16 +238,20 @@ impl SimplifiedTrajectory {
     ///
     /// Segments are stored in time order and consecutive segments share their
     /// boundary timestamp, so the matching segments form a contiguous range
-    /// that two binary searches locate in `O(log |segments|)` — important
-    /// because the CuTS filter calls this once per object per time partition.
-    pub fn segments_intersecting(&self, window: TimeInterval) -> &[SimplifiedSegment] {
-        let first = self
-            .segments
-            .partition_point(|s| s.interval().end < window.start);
-        let last = self
-            .segments
-            .partition_point(|s| s.interval().start <= window.end);
-        &self.segments[first..last]
+    /// that two binary searches locate in `O(log |segments|)`. The search
+    /// starts at segment `*from` and leaves it on the first segment that does
+    /// not end before `window.start`: the CuTS filter, which asks once per
+    /// object per time partition over ascending windows, keeps one such
+    /// cursor per object; a one-shot caller passes `&mut 0`.
+    pub fn segments_intersecting(
+        &self,
+        window: TimeInterval,
+        from: &mut usize,
+    ) -> &[SimplifiedSegment] {
+        let rest = self.segments.get(*from..).unwrap_or_default();
+        *from += rest.partition_point(|s| s.interval().end < window.start);
+        let rest = self.segments.get(*from..).unwrap_or_default();
+        &rest[..rest.partition_point(|s| s.interval().start <= window.end)]
     }
 
     /// Spatial bounding box of the retained samples.
@@ -322,12 +326,27 @@ mod tests {
     fn segments_intersecting_window() {
         let original = traj(&[(0.0, 0.0, 0), (1.0, 0.0, 4), (2.0, 0.0, 8), (3.0, 0.0, 12)]);
         let s = SimplifiedTrajectory::from_kept_indices(&original, &[0, 1, 2, 3], 0.0);
-        let hits = s.segments_intersecting(TimeInterval::new(5, 9));
+        let hits = s.segments_intersecting(TimeInterval::new(5, 9), &mut 0);
         assert_eq!(hits.len(), 2);
-        let hits = s.segments_intersecting(TimeInterval::new(0, 12));
+        let hits = s.segments_intersecting(TimeInterval::new(0, 12), &mut 0);
         assert_eq!(hits.len(), 3);
-        let hits = s.segments_intersecting(TimeInterval::new(20, 30));
+        let hits = s.segments_intersecting(TimeInterval::new(20, 30), &mut 0);
         assert!(hits.is_empty());
+        // A cursor carried over ascending windows only moves forward and
+        // selects what a fresh search does.
+        let mut cursor = 0;
+        assert_eq!(
+            s.segments_intersecting(TimeInterval::new(0, 3), &mut cursor)
+                .len(),
+            1
+        );
+        assert_eq!(cursor, 0);
+        let hits = s.segments_intersecting(TimeInterval::new(9, 11), &mut cursor);
+        assert_eq!((hits.len(), cursor), (1, 2));
+        assert!(s
+            .segments_intersecting(TimeInterval::new(20, 30), &mut cursor)
+            .is_empty());
+        assert_eq!(cursor, 3);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use convoy_core::{
 };
 use convoy_obs::{Obs, SpanId};
 use std::collections::{BTreeMap, BTreeSet};
-use traj_cluster::{SegmentDistance, SubTrajectory};
+use traj_cluster::{SegmentDistance, SubTrajectoryPool, SubTrajectoryScratch};
 use traj_simplify::{SlidingDp, ToleranceMode};
 use trajectory::{
     FeedError, FeedValidator, ObjectId, Snapshot, SnapshotEntry, TimeInterval, TimePoint,
@@ -137,6 +137,12 @@ pub struct ConvoyStream {
     /// from a cold start. A restored stream suppresses the metric: its first
     /// convoy may long predate the resume.
     pub(crate) ttfc_pending: bool,
+    /// Sub-trajectory buffers refilled by every partition close. Working
+    /// memory only: checkpoints do not store it.
+    pub(crate) sub_pool: SubTrajectoryPool,
+    /// The filter's clustering scratch, shared with the batch filter's code
+    /// path ([`cluster_partition`]). Working memory only, like `sub_pool`.
+    pub(crate) filter_scratch: SubTrajectoryScratch,
 }
 
 impl ConvoyStream {
@@ -167,6 +173,8 @@ impl ConvoyStream {
             root_span: SpanId::NONE,
             start_ns: 0,
             ttfc_pending: false,
+            sub_pool: SubTrajectoryPool::new(),
+            filter_scratch: SubTrajectoryScratch::new(),
             config,
         }
     }
@@ -305,28 +313,25 @@ impl ConvoyStream {
 
         // Sliding-window DP per object: the λ-partition completed, so every
         // simplified segment intersecting it can now be closed.
-        let mut items: Vec<SubTrajectory> = Vec::new();
+        self.sub_pool.clear();
         for (&id, buffer) in &self.buffers {
-            let mut segments = Vec::new();
-            for run in buffer.runs_for_window(window.start, window.end, horizon) {
-                let Some(simplified) = self.sliding.close_window(run) else {
-                    continue;
-                };
-                if let Some(sub) = SubTrajectory::for_window(id, &simplified, window) {
-                    segments.extend(sub.segments);
+            self.sub_pool.push_with(id, self.config.delta, |sub| {
+                for run in buffer.runs_for_window(window.start, window.end, horizon) {
+                    if let Some(simplified) = self.sliding.close_window(run) {
+                        sub.extend_for_window(&simplified, window, &mut 0);
+                    }
                 }
-            }
-            if !segments.is_empty() {
-                items.push(SubTrajectory {
-                    object: id,
-                    segments,
-                    global_tolerance: self.config.delta,
-                });
-            }
+            });
         }
 
-        let clustered =
-            cluster_partition(window, &items, &self.config.query, self.distance, self.mode);
+        let clustered = cluster_partition(
+            window,
+            self.sub_pool.items(),
+            &self.config.query,
+            self.distance,
+            self.mode,
+            &mut self.filter_scratch,
+        );
 
         // Coarse candidate chain (the chaining half of Algorithm 2), with
         // horizon eviction so an unbounded feed cannot hoard old chains.
