@@ -29,7 +29,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(label, name.name()),
                 &engine,
-                |b, engine| b.iter(|| engine.run(&data.dataset.database, &data.query)),
+                |b, engine| b.iter(|| engine.run_with_stats(&data.dataset.database, &data.query)),
             );
         }
     }

@@ -35,7 +35,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(label, name.name()),
                 &engine,
-                |b, engine| b.iter(|| engine.run(&data.dataset.database, &data.query)),
+                |b, engine| b.iter(|| engine.run_with_stats(&data.dataset.database, &data.query)),
             );
         }
     }

@@ -72,11 +72,11 @@ COMMANDS:
     discover  FILE [--method cmc|cuts|cuts-plus|cuts-star] --m N --k N --e F
               [--delta F] [--lambda N] [--global-tolerance] [--stats]
               [--from T] [--to T] [--trace PATH] [--metrics-json PATH]
-              [--stream | --parallel [N] | --shards [N]]   (CMC engine:
-              streamed sweep is the default; --parallel N partitions time
-              across N worker threads; --shards N grid-shards space into N
-              cells clustered on worker threads with boundary-halo exchange;
-              N omitted or 0 uses every core)
+              [--parallel [N] | --shards [N]]   (CMC engine: the swept
+              single-pass engine is the default; --parallel N partitions
+              time across N worker threads; --shards N grid-shards space
+              into N cells clustered on worker threads with boundary-halo
+              exchange; N omitted or 0 uses every core)
               Run a convoy query and print the discovered convoys.
               --from/--to restrict discovery to samples with T inside the
               inclusive tick window (no interpolation at the edges); on a
@@ -172,17 +172,12 @@ fn load_path(path: &str) -> Result<TrajectoryDatabase, CommandError> {
     Ok(open_source(path)?.load()?)
 }
 
-/// Resolves the CMC engine from the `--stream` / `--parallel N` /
-/// `--shards N` flags. The flags only make sense for the CMC method (the
-/// CuTS refinement runs windowed CMC per candidate, a different parallelism
-/// axis), so combining them with a CuTS method is reported rather than
-/// silently ignored.
+/// Resolves the CMC engine from the `--parallel N` / `--shards N` flags
+/// (neither: the swept default). The flags only make sense for the CMC
+/// method (the CuTS refinement runs windowed CMC per candidate, a different
+/// parallelism axis), so combining them with a CuTS method is reported
+/// rather than silently ignored.
 fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, CommandError> {
-    if let Some(value) = args.get("stream") {
-        return Err(CommandError(format!(
-            "--stream takes no value (found `{value}`; place the input path before the flags)"
-        )));
-    }
     // A bare `--parallel` / `--shards` (no count, e.g. followed by another
     // flag or at the end of the line) parses as a boolean flag; it means
     // "every core" rather than being silently ignored.
@@ -196,34 +191,33 @@ fn engine_from_args(args: &ParsedArgs, method: Method) -> Result<CmcEngine, Comm
             None => Ok(None),
         }
     };
-    let stream = args.has_flag("stream");
-    let parallel = counted_flag("parallel")?;
-    let sharded = counted_flag("shards")?;
-    let selected =
-        usize::from(stream) + usize::from(parallel.is_some()) + usize::from(sharded.is_some());
-    if selected > 1 {
+    let engine = match (counted_flag("parallel")?, counted_flag("shards")?) {
+        (Some(_), Some(_)) => {
+            return Err(CommandError(
+                "--parallel and --shards are mutually exclusive".into(),
+            ))
+        }
+        (Some(threads), None) => CmcEngine::Parallel { threads },
+        (None, Some(shards)) => CmcEngine::Sharded { shards },
+        (None, None) => return Ok(CmcEngine::Swept),
+    };
+    if method != Method::Cmc {
         return Err(CommandError(
-            "--stream, --parallel and --shards are mutually exclusive".into(),
+            "--parallel/--shards select a CMC engine; use them with --method cmc".into(),
         ));
     }
-    if selected > 0 && method != Method::Cmc {
-        return Err(CommandError(
-            "--stream/--parallel/--shards select a CMC engine; use them with --method cmc".into(),
-        ));
-    }
-    Ok(match (parallel, sharded) {
-        (Some(threads), _) => CmcEngine::Parallel { threads },
-        (_, Some(shards)) => CmcEngine::Sharded { shards },
-        _ => CmcEngine::Swept,
-    })
+    Ok(engine)
 }
 
 fn query_from_args(args: &ParsedArgs) -> Result<ConvoyQuery, CommandError> {
     let m: usize = args.require_parsed("m")?;
     let k: usize = args.require_parsed("k")?;
     let e: f64 = args.require_parsed("e")?;
-    if e <= 0.0 {
-        return Err(CommandError("--e must be positive".into()));
+    if m == 0 || k == 0 {
+        return Err(CommandError("--m and --k must be at least 1".into()));
+    }
+    if !(e.is_finite() && e > 0.0) {
+        return Err(CommandError("--e must be finite and positive".into()));
     }
     Ok(ConvoyQuery::new(m, k, e))
 }
@@ -449,7 +443,6 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         "global-tolerance",
         "limit",
         "stats",
-        "stream",
         "parallel",
         "shards",
         "from",
@@ -1096,17 +1089,12 @@ mod tests {
         };
 
         let mut args: Vec<&str> = base.to_vec();
-        args.push("--stream");
-        let streamed = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
-        assert!(streamed.contains("engine: swept (1 thread)"));
-
-        let mut args: Vec<&str> = base.to_vec();
         args.extend(["--parallel", "3"]);
         let parallel = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap();
         assert!(parallel.contains("engine: parallel (3 threads)"));
 
         let sequential = discover_command(&ParsedArgs::parse(base).unwrap()).unwrap();
-        assert_eq!(strip_timing(streamed), strip_timing(sequential.clone()));
+        assert!(sequential.contains("engine: swept (1 thread)"));
         assert_eq!(strip_timing(parallel), strip_timing(sequential));
     }
 
@@ -1178,9 +1166,10 @@ mod tests {
         args.extend(["--method", "cmc", "--shards", "2", "--parallel", "2"]);
         let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
-        // --shards and --stream are mutually exclusive (bare form included).
+        // --shards and --parallel are mutually exclusive (bare forms
+        // included).
         let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cmc", "--stream", "--shards"]);
+        args.extend(["--method", "cmc", "--parallel", "--shards"]);
         let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
         // A non-numeric shard count is a parse error.
@@ -1199,13 +1188,9 @@ mod tests {
         args.extend(["--method", "cuts-star", "--parallel", "2"]);
         let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
         assert!(err.to_string().contains("--method cmc"), "{err}");
-        // --stream with a CuTS method (the default) is rejected too.
+        // --parallel and --shards are mutually exclusive.
         let mut args: Vec<&str> = base.to_vec();
-        args.push("--stream");
-        assert!(discover_command(&ParsedArgs::parse(args).unwrap()).is_err());
-        // --stream and --parallel are mutually exclusive.
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend(["--method", "cmc", "--parallel", "2", "--stream"]);
+        args.extend(["--method", "cmc", "--parallel", "2", "--shards"]);
         let err = discover_command(&ParsedArgs::parse(args).unwrap()).unwrap_err();
         assert!(err.to_string().contains("mutually exclusive"), "{err}");
         // A non-numeric thread count is a parse error.
@@ -1246,7 +1231,7 @@ mod tests {
             "5",
             "--e",
             "10.0",
-            "--stream",
+            "--shards",
             "--parallel",
         ])
         .unwrap();

@@ -117,6 +117,28 @@ fn discover_rejects_unknown_method_and_missing_file() {
 }
 
 #[test]
+fn query_commands_reject_invalid_queries() {
+    let path = temp_path("bad-query.csv");
+    std::fs::write(&path, "object_id,t,x,y\n1,0,0.0,0.0\n2,0,0.5,0.0\n").unwrap();
+    for command in ["discover", "stream", "compare"] {
+        for (m, k, e, error) in [
+            ("2", "2", "nan", "--e must be finite"),
+            ("2", "2", "inf", "--e must be finite"),
+            ("0", "2", "1.0", "--m and --k must be at least 1"),
+            ("2", "0", "1.0", "--m and --k must be at least 1"),
+        ] {
+            convoy()
+                .args([command, path.to_str().unwrap()])
+                .args(["--m", m, "--k", k, "--e", e])
+                .assert()
+                .failure()
+                .code(1)
+                .stderr_contains(error);
+        }
+    }
+}
+
+#[test]
 fn simplify_requires_delta() {
     let path = temp_path("simplify-delta.csv");
     std::fs::write(&path, "object_id,t,x,y\n1,0,0.0,0.0\n1,1,1.0,0.0\n").unwrap();
@@ -153,7 +175,6 @@ fn discover_cmc_engine_flags() {
     convoy()
         .args(["discover", path.to_str().unwrap()])
         .args(query)
-        .arg("--stream")
         .assert()
         .success()
         .stdout_contains("found by CMC")
@@ -177,7 +198,7 @@ fn discover_cmc_engine_flags() {
     convoy()
         .args(["discover", path.to_str().unwrap()])
         .args(query)
-        .args(["--parallel", "2", "--stream"])
+        .args(["--parallel", "2", "--shards", "2"])
         .assert()
         .failure()
         .code(1)

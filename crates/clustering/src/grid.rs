@@ -27,10 +27,10 @@
 //! gets its speed from.
 //!
 //! The per-cell distance tests run through the batched
-//! [`kernel`](crate::kernel) module: a column's vertically adjacent buckets
+//! [`kernel`] module: a column's vertically adjacent buckets
 //! occupy *consecutive ranks* whenever their keys are consecutive, so the
 //! scan fuses them into one contiguous extent and tests it in
-//! [`kernel::LANE_WIDTH`](crate::kernel::LANE_WIDTH)-wide branch-free lanes
+//! [`kernel::LANE_WIDTH`]-wide branch-free lanes
 //! (autovectorizable), emitting hits from a bitmask in ascending-index
 //! order (the mask-then-emit argument in the kernel docs).
 //!
@@ -470,7 +470,7 @@ impl GridIndex {
     ///
     /// One hash probe resolves the target's own cell; when it exists (a
     /// query at an indexed point always lands in one), the side columns
-    /// follow from its [`GridIndex::col_links`] and no further probes run.
+    /// follow from its `col_links` and no further probes run.
     pub fn range_query_into(&self, target: &Point, out: &mut Vec<usize>) {
         out.clear();
         let (cx, cy) = Self::cell_of(target, self.epsilon);
@@ -649,8 +649,8 @@ impl RegionQuery for GridIndex {
     /// [`GridIndex::range_query_into`] at the point's own position, but the
     /// point's cell is recovered from its recorded bucket rank — no
     /// coordinate divisions, and the centre column needs no hash probe.
-    /// Both entry points funnel into the one audited
-    /// [`GridIndex::query_cells`] region.
+    /// Both entry points funnel into the one audited `query_cells`
+    /// region.
     fn neighbors_into(&self, idx: usize, out: &mut Vec<usize>) {
         out.clear();
         let target = &self.points[idx];

@@ -11,6 +11,7 @@ use crate::cuts::partition::{cluster_partition, CandidateChain, PartitionCluster
 use crate::cuts::CutsConfig;
 use crate::params::{auto_delta, auto_lambda};
 use crate::query::ConvoyQuery;
+use convoy_obs::Obs;
 use serde::{Deserialize, Serialize};
 use traj_cluster::{SubTrajectoryPool, SubTrajectoryScratch};
 use traj_simplify::SimplifiedTrajectory;
@@ -42,7 +43,8 @@ pub struct FilterOutput {
 /// Work counters of one filter run: how many sub-trajectories the
 /// partitions held and how the index, the temporal test and Lemma 2 thinned
 /// the candidate pairs before the exact ω evaluation. [`crate::Discovery`]
-/// records them as the `cuts.*` counters.
+/// and the streaming filter record them as the `cuts.*` counters
+/// ([`FilterStats::record`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilterStats {
     /// λ-partitions visited.
@@ -57,6 +59,22 @@ pub struct FilterStats {
     pub lemma2_prunes: u64,
     /// Exact ω evaluations (Lemma 1 / Lemma 3).
     pub omega_evaluations: u64,
+}
+
+impl FilterStats {
+    /// Adds these counts to `obs` as the `cuts.*` counters.
+    pub fn record(&self, obs: &Obs) {
+        for (name, value) in [
+            ("cuts.partitions", self.partitions),
+            ("cuts.sub_trajectories", self.sub_trajectories),
+            ("cuts.grid_candidates", self.grid_candidates),
+            ("cuts.temporal_prunes", self.temporal_prunes),
+            ("cuts.lemma2_prunes", self.lemma2_prunes),
+            ("cuts.omega_evaluations", self.omega_evaluations),
+        ] {
+            obs.counter_add(name, value);
+        }
+    }
 }
 
 impl FilterOutput {

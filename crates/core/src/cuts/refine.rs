@@ -35,11 +35,10 @@
 //! `Vec<Convoy>` equality rather than set equivalence.
 
 use crate::candidate::CandidateConvoy;
-use crate::cmc::cmc_windowed;
 use crate::cuts::partition::PartitionClusters;
-use crate::engine::{CmcState, CmcStats};
+use crate::engine::{CmcEngine, CmcState, CmcStats};
 use crate::query::{Convoy, ConvoyQuery};
-use convoy_obs::Obs;
+use convoy_obs::{Obs, SpanId};
 use std::collections::BTreeSet;
 use trajectory::{
     ObjectId, Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePoint, TrajectoryDatabase,
@@ -53,7 +52,9 @@ pub fn refine_candidate(
 ) -> Vec<Convoy> {
     let subset = db.subset(candidate.objects.iter());
     let window = TimeInterval::new(candidate.start, candidate.end);
-    cmc_windowed(&subset, query, window)
+    CmcEngine::Swept
+        .run_obs(&subset, query, Some(window), &Obs::noop(), SpanId::NONE)
+        .0
 }
 
 /// Refines every candidate and concatenates the verified convoys.
@@ -454,7 +455,6 @@ mod tests {
         // raw convoy sequence of full CMC — order included.
         use crate::cuts::filter::filter;
         use crate::cuts::{CutsConfig, CutsVariant};
-        use crate::engine::CmcEngine;
 
         let db = db();
         let query = ConvoyQuery::new(2, 5, 1.5);

@@ -12,7 +12,7 @@ use crate::query::{normalize_convoys, Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use trajectory::{TimeInterval, TrajectoryDatabase, TrajectorySource};
+use trajectory::{TrajectoryDatabase, TrajectorySource};
 
 /// Which discovery algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,20 +158,6 @@ impl Discovery {
         Ok(self.run(&source.load()?, query))
     }
 
-    /// Like [`Discovery::run_source`], but restricted to the samples inside
-    /// `window` — block-indexed backends read only the touched blocks. The
-    /// windowed contract is sample-selecting (see
-    /// [`TrajectorySource::load_window`]), so the outcome equals running on
-    /// `load()?.restrict(window)` regardless of backend.
-    pub fn run_source_window(
-        &self,
-        source: &mut dyn TrajectorySource,
-        query: &ConvoyQuery,
-        window: TimeInterval,
-    ) -> trajectory::Result<DiscoveryOutcome> {
-        Ok(self.run(&source.load_window(window)?, query))
-    }
-
     /// Executes the discovery and returns the normalised result set together
     /// with timings and statistics.
     pub fn run(&self, db: &TrajectoryDatabase, query: &ConvoyQuery) -> DiscoveryOutcome {
@@ -190,9 +176,7 @@ impl Discovery {
         match self.method {
             Method::Cmc => {
                 let started = Instant::now();
-                let (raw, fold) = self
-                    .cmc_engine
-                    .run_with_stats_obs(db, query, &self.obs, root);
+                let (raw, fold) = self.cmc_engine.run_obs(db, query, None, &self.obs, root);
                 let filter_time = started.elapsed();
                 let convoys = normalize_convoys(raw, query);
                 DiscoveryOutcome {
@@ -224,17 +208,7 @@ impl Discovery {
                 let filter_started = Instant::now();
                 let output = filter_simplified(&simplified, db, query, &self.config, delta);
                 let filter_time = filter_started.elapsed();
-                let filter_stats = &output.stats;
-                for (name, value) in [
-                    ("cuts.partitions", filter_stats.partitions),
-                    ("cuts.sub_trajectories", filter_stats.sub_trajectories),
-                    ("cuts.grid_candidates", filter_stats.grid_candidates),
-                    ("cuts.temporal_prunes", filter_stats.temporal_prunes),
-                    ("cuts.lemma2_prunes", filter_stats.lemma2_prunes),
-                    ("cuts.omega_evaluations", filter_stats.omega_evaluations),
-                ] {
-                    self.obs.counter_add(name, value);
-                }
+                output.stats.record(&self.obs);
                 self.obs.span_end(filter_span);
 
                 // Stage 3: refinement — the coverage-restricted CmcState

@@ -1,19 +1,25 @@
-//! The streaming + parallel convoy engine.
+//! CMC — the Coherent Moving Cluster algorithm (Algorithm 1 of the paper) —
+//! and the engines that run it.
 //!
-//! Algorithm 1 (CMC) is both the exact baseline and the inner loop of CuTS
-//! refinement, so this module factors it into composable pieces:
+//! CMC is the exact baseline: it density-clusters the objects' (possibly
+//! interpolated) positions at every time point and intersects clusters across
+//! consecutive time points, reporting every chain that keeps at least `m`
+//! common objects for at least `k` consecutive time points. It is also the
+//! building block of the CuTS refinement step, which runs CMC on the
+//! candidate's objects restricted to the candidate's time window.
 //!
 //! * [`CmcState`] — the incremental core: ingest one snapshot (or one tick's
-//!   clusters), emit the convoys that closed at that tick. `cmc_windowed`,
-//!   the refinement step, the parallel driver and streaming ingest all fold
-//!   through this one state machine, so there is a single implementation of
-//!   the candidate bookkeeping (including the per-step candidate
-//!   de-duplication).
+//!   clusters), emit the convoys that closed at that tick. Every engine, the
+//!   refinement step and streaming ingest all fold through this one state
+//!   machine, so there is a single implementation of the candidate
+//!   bookkeeping (including the per-step candidate de-duplication).
 //! * [`CmcEngine`] — the execution strategy: legacy per-tick snapshot
 //!   extraction, the swept single-pass cursor, the time-partitioned
 //!   parallel driver, or the spatially sharded driver
-//!   ([`crate::shard`]).
-//! * [`cmc_parallel_windowed`] — the parallel driver. The time domain is
+//!   ([`crate::shard`]). [`CmcEngine::run_with_stats`] runs it over the
+//!   whole time domain; [`CmcEngine::run_obs`] over a window, into a
+//!   recorder. They are the only ways to run CMC.
+//! * The parallel driver ([`CmcEngine::Parallel`]). The time domain is
 //!   split into one contiguous partition per thread; each worker streams its
 //!   partition with a [`SnapshotSweep`] and density-clusters every tick (the
 //!   measured hot path of CMC). The per-tick clusters are then folded through
@@ -523,16 +529,15 @@ pub enum CmcEngine {
     /// ([`SnapshotSweep`]) and fold them incrementally. The default.
     #[default]
     Swept,
-    /// Time-partitioned parallel clustering with stitched folding
-    /// ([`cmc_parallel_windowed`]). `threads == 0` means "use all available
-    /// cores".
+    /// Time-partitioned parallel clustering with stitched folding (see the
+    /// module docs). `threads == 0` means "use all available cores".
     Parallel {
         /// Number of worker threads (0 = `std::thread::available_parallelism`).
         threads: usize,
     },
     /// Spatially sharded clustering with boundary-halo exchange and exact
-    /// cluster merging ([`crate::shard::cmc_sharded_windowed`]). `shards == 0`
-    /// means "one shard per available core".
+    /// cluster merging ([`crate::shard`]). `shards == 0` means "one shard per
+    /// available core".
     Sharded {
         /// Number of spatial shards (0 = one per core, clamped to
         /// [`crate::shard::MAX_SHARDS`]).
@@ -592,149 +597,107 @@ impl CmcEngine {
         }
     }
 
-    /// Runs CMC over `window` with this engine.
-    pub fn run_windowed(
-        &self,
-        db: &TrajectoryDatabase,
-        query: &ConvoyQuery,
-        window: TimeInterval,
-    ) -> Vec<Convoy> {
-        self.run_windowed_with_stats(db, query, window).0
-    }
-
-    /// Like [`CmcEngine::run_windowed`], but also returns the counters of the
-    /// [`CmcState`] fold that produced the result — every engine, the
-    /// parallel and sharded drivers included, folds through exactly one
-    /// state machine, so the counters are engine-independent.
-    pub fn run_windowed_with_stats(
-        &self,
-        db: &TrajectoryDatabase,
-        query: &ConvoyQuery,
-        window: TimeInterval,
-    ) -> (Vec<Convoy>, CmcStats) {
-        self.run_windowed_with_stats_obs(db, query, window, &Obs::noop(), SpanId::NONE)
-    }
-
-    /// Like [`CmcEngine::run_windowed_with_stats`], recording into `obs`:
-    /// one root span per engine (child of `parent`), `cmc.sweep` /
-    /// `cmc.cluster` / `cmc.fold` stage spans beneath it (accumulated totals
-    /// for the sequential engines, real per-partition / per-shard worker
-    /// spans for the parallel drivers), and the per-tick `cmc.*` metrics of
-    /// the fold. With the no-op recorder this is exactly
-    /// [`CmcEngine::run_windowed_with_stats`] — the result is identical
-    /// either way.
-    pub fn run_windowed_with_stats_obs(
-        &self,
-        db: &TrajectoryDatabase,
-        query: &ConvoyQuery,
-        window: TimeInterval,
-        obs: &Obs,
-        parent: SpanId,
-    ) -> (Vec<Convoy>, CmcStats) {
-        match *self {
-            CmcEngine::PerTick => {
-                let engine_span = obs.span_start("cmc.per-tick", parent);
-                let run_start_ns = obs.now_ns();
-                let live = obs.enabled();
-                let mut state = CmcState::new(query);
-                state.set_obs(obs.clone());
-                let mut sweep_ns = 0u64;
-                let mut ingest_ns = 0u64;
-                for t in window.iter() {
-                    let sweep_from_ns = if live { obs.now_ns() } else { 0 };
-                    let snapshot = db.snapshot(t, SnapshotPolicy::Interpolate);
-                    let ingest_from_ns = if live { obs.now_ns() } else { 0 };
-                    state.ingest_snapshot(&snapshot);
-                    if live {
-                        sweep_ns =
-                            sweep_ns.saturating_add(ingest_from_ns.saturating_sub(sweep_from_ns));
-                        ingest_ns =
-                            ingest_ns.saturating_add(obs.now_ns().saturating_sub(ingest_from_ns));
-                    }
-                }
-                let cluster_ns = state.cluster_time_ns();
-                let out = state.finish_with_stats();
-                emit_stage_spans(
-                    obs,
-                    engine_span,
-                    run_start_ns,
-                    sweep_ns,
-                    cluster_ns,
-                    ingest_ns,
-                );
-                obs.span_end(engine_span);
-                out
-            }
-            CmcEngine::Swept => {
-                let engine_span = obs.span_start("cmc.swept", parent);
-                let run_start_ns = obs.now_ns();
-                let live = obs.enabled();
-                let mut state = CmcState::new(query);
-                state.set_obs(obs.clone());
-                let mut sweep_ns = 0u64;
-                let mut ingest_ns = 0u64;
-                let mut sweep = SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate);
-                loop {
-                    let sweep_from_ns = if live { obs.now_ns() } else { 0 };
-                    let Some(snapshot) = sweep.next() else { break };
-                    let ingest_from_ns = if live { obs.now_ns() } else { 0 };
-                    state.ingest_snapshot(&snapshot);
-                    if live {
-                        sweep_ns =
-                            sweep_ns.saturating_add(ingest_from_ns.saturating_sub(sweep_from_ns));
-                        ingest_ns =
-                            ingest_ns.saturating_add(obs.now_ns().saturating_sub(ingest_from_ns));
-                    }
-                }
-                let cluster_ns = state.cluster_time_ns();
-                let out = state.finish_with_stats();
-                emit_stage_spans(
-                    obs,
-                    engine_span,
-                    run_start_ns,
-                    sweep_ns,
-                    cluster_ns,
-                    ingest_ns,
-                );
-                obs.span_end(engine_span);
-                out
-            }
-            CmcEngine::Parallel { threads } => {
-                cmc_parallel_windowed_with_stats_obs(db, query, window, threads, obs, parent)
-            }
-            CmcEngine::Sharded { shards } => crate::shard::cmc_sharded_windowed_with_stats_obs(
-                db, query, window, shards, obs, parent,
-            ),
-        }
-    }
-
-    /// Runs CMC over the whole time domain of `db` with this engine.
-    pub fn run(&self, db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
-        self.run_with_stats(db, query).0
-    }
-
-    /// Like [`CmcEngine::run`], but also returns the fold counters.
+    /// Runs CMC over the whole time domain of `db` with this engine and
+    /// returns the convoys together with the counters of the [`CmcState`]
+    /// fold that produced them. Every engine, the parallel and sharded
+    /// drivers included, folds through exactly one state machine, so the
+    /// counters are engine-independent.
     pub fn run_with_stats(
         &self,
         db: &TrajectoryDatabase,
         query: &ConvoyQuery,
     ) -> (Vec<Convoy>, CmcStats) {
-        self.run_with_stats_obs(db, query, &Obs::noop(), SpanId::NONE)
+        self.run_obs(db, query, None, &Obs::noop(), SpanId::NONE)
     }
 
-    /// Whole-domain variant of [`CmcEngine::run_windowed_with_stats_obs`].
-    pub fn run_with_stats_obs(
+    /// Runs CMC over `window` (`None`: the whole time domain of `db`) with
+    /// this engine, recording into `obs`: one root span per engine (child of
+    /// `parent`), `cmc.sweep` / `cmc.cluster` / `cmc.fold` stage spans
+    /// beneath it (accumulated totals for the sequential engines, real
+    /// per-partition / per-shard worker spans for the parallel drivers), and
+    /// the per-tick `cmc.*` metrics of the fold. The recorder never changes
+    /// the result: with [`Obs::noop`] and `None` this is exactly
+    /// [`CmcEngine::run_with_stats`].
+    ///
+    /// Positions of objects that cover a time point without an exact sample
+    /// are linearly interpolated (the *virtual points* of Section 4). Time
+    /// points at which fewer than `m` objects are present produce no
+    /// clusters, which closes every open candidate chain exactly as an empty
+    /// clustering would.
+    pub fn run_obs(
         &self,
         db: &TrajectoryDatabase,
         query: &ConvoyQuery,
+        window: Option<TimeInterval>,
         obs: &Obs,
         parent: SpanId,
     ) -> (Vec<Convoy>, CmcStats) {
-        match db.time_domain() {
-            Some(window) => self.run_windowed_with_stats_obs(db, query, window, obs, parent),
-            None => (Vec::new(), CmcStats::default()),
+        let Some(window) = window.or_else(|| db.time_domain()) else {
+            return (Vec::new(), CmcStats::default());
+        };
+        match *self {
+            CmcEngine::PerTick => {
+                fold_snapshots(query, obs, obs.span_start("cmc.per-tick", parent), || {
+                    window
+                        .iter()
+                        .map(|t| db.snapshot(t, SnapshotPolicy::Interpolate))
+                })
+            }
+            CmcEngine::Swept => {
+                fold_snapshots(query, obs, obs.span_start("cmc.swept", parent), || {
+                    SnapshotSweep::new(db, window, SnapshotPolicy::Interpolate)
+                })
+            }
+            CmcEngine::Parallel { threads } => {
+                cmc_parallel(db, query, window, threads, obs, parent)
+            }
+            CmcEngine::Sharded { shards } => {
+                crate::shard::cmc_sharded(db, query, window, shards, obs, parent)
+            }
         }
     }
+}
+
+/// The sequential engines: folds the snapshots `snapshots()` yields through
+/// one [`CmcState`] under `engine_span` (which it ends), timing snapshot
+/// extraction (`cmc.sweep`) apart from the fold that ingests it.
+fn fold_snapshots<I: Iterator<Item = Snapshot>>(
+    query: &ConvoyQuery,
+    obs: &Obs,
+    engine_span: SpanId,
+    snapshots: impl FnOnce() -> I,
+) -> (Vec<Convoy>, CmcStats) {
+    let run_start_ns = obs.now_ns();
+    let live = obs.enabled();
+    let mut state = CmcState::new(query);
+    state.set_obs(obs.clone());
+    let mut sweep_ns = 0u64;
+    let mut ingest_ns = 0u64;
+    let mut snapshots = snapshots();
+    loop {
+        let sweep_from_ns = if live { obs.now_ns() } else { 0 };
+        let Some(snapshot) = snapshots.next() else {
+            break;
+        };
+        let ingest_from_ns = if live { obs.now_ns() } else { 0 };
+        state.ingest_snapshot(&snapshot);
+        if live {
+            sweep_ns = sweep_ns.saturating_add(ingest_from_ns.saturating_sub(sweep_from_ns));
+            ingest_ns = ingest_ns.saturating_add(obs.now_ns().saturating_sub(ingest_from_ns));
+        }
+    }
+    let cluster_ns = state.cluster_time_ns();
+    let out = state.finish_with_stats();
+    emit_stage_spans(
+        obs,
+        engine_span,
+        run_start_ns,
+        sweep_ns,
+        cluster_ns,
+        ingest_ns,
+    );
+    obs.span_end(engine_span);
+    out
 }
 
 /// Re-lays the accumulated sweep → cluster → fold totals of a sequential
@@ -787,7 +750,8 @@ fn split_window(window: TimeInterval, parts: usize) -> Vec<TimeInterval> {
     out
 }
 
-/// Runs CMC over `window` with time-partitioned parallel clustering.
+/// Runs CMC over `window` with time-partitioned parallel clustering (the
+/// [`CmcEngine::Parallel`] engine).
 ///
 /// Each worker thread sweeps one contiguous partition of the window and
 /// density-clusters every tick — snapshot extraction plus DBSCAN, the part of
@@ -800,32 +764,12 @@ fn split_window(window: TimeInterval, parts: usize) -> Vec<TimeInterval> {
 /// `threads == 0` selects `std::thread::available_parallelism()`; explicit
 /// counts are clamped to [`MAX_PARALLEL_THREADS`]. With one thread (or a
 /// one-tick window) this degrades to the swept sequential engine.
-pub fn cmc_parallel_windowed(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    threads: usize,
-) -> Vec<Convoy> {
-    cmc_parallel_windowed_with_stats(db, query, window, threads).0
-}
-
-/// Like [`cmc_parallel_windowed`], but also returns the stitching fold's
-/// counters.
-pub fn cmc_parallel_windowed_with_stats(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    threads: usize,
-) -> (Vec<Convoy>, CmcStats) {
-    cmc_parallel_windowed_with_stats_obs(db, query, window, threads, &Obs::noop(), SpanId::NONE)
-}
-
-/// Like [`cmc_parallel_windowed_with_stats`], recording into `obs`: a
-/// `cmc.parallel` root span, one *real* `cmc.partition` span per worker
-/// thread (each worker density-clusters with its own recorder-attached
-/// scratch, so `cluster.*` metrics accrue from all workers), and a real
-/// `cmc.fold` span over the sequential stitch.
-pub fn cmc_parallel_windowed_with_stats_obs(
+///
+/// Records a `cmc.parallel` root span, one *real* `cmc.partition` span per
+/// worker thread (each worker density-clusters with its own
+/// recorder-attached scratch, so `cluster.*` metrics accrue from all
+/// workers), and a real `cmc.fold` span over the sequential stitch.
+pub(crate) fn cmc_parallel(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
     window: TimeInterval,
@@ -835,7 +779,7 @@ pub fn cmc_parallel_windowed_with_stats_obs(
 ) -> (Vec<Convoy>, CmcStats) {
     let partitions = split_window(window, resolve_threads(threads));
     if partitions.len() <= 1 {
-        return CmcEngine::Swept.run_windowed_with_stats_obs(db, query, window, obs, parent);
+        return CmcEngine::Swept.run_obs(db, query, Some(window), obs, parent);
     }
     let engine_span = obs.span_start("cmc.parallel", parent);
 
@@ -890,19 +834,28 @@ pub fn cmc_parallel_windowed_with_stats_obs(
     out
 }
 
-/// Runs [`cmc_parallel_windowed`] over the whole time domain of `db`.
-pub fn cmc_parallel(db: &TrajectoryDatabase, query: &ConvoyQuery, threads: usize) -> Vec<Convoy> {
-    match db.time_domain() {
-        Some(window) => cmc_parallel_windowed(db, query, window, threads),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::normalize_convoys;
     use trajectory::{ObjectId, Trajectory};
+
+    /// Whole-domain convoys of `engine`.
+    fn run(engine: CmcEngine, db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
+        engine.run_with_stats(db, query).0
+    }
+
+    /// Convoys of `engine` over `window`.
+    fn run_window(
+        engine: CmcEngine,
+        db: &TrajectoryDatabase,
+        query: &ConvoyQuery,
+        window: TimeInterval,
+    ) -> Vec<Convoy> {
+        engine
+            .run_obs(db, query, Some(window), &Obs::noop(), SpanId::NONE)
+            .0
+    }
 
     fn cluster(ids: &[u64]) -> Cluster {
         Cluster::new(ids.iter().map(|i| ObjectId(*i)).collect())
@@ -928,8 +881,10 @@ mod tests {
     fn every_engine_agrees_on_a_simple_convoy() {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
-        let reference = normalize_convoys(CmcEngine::PerTick.run(&db, &query), &query);
+        let reference = normalize_convoys(run(CmcEngine::PerTick, &db, &query), &query);
         assert_eq!(reference.len(), 1);
+        assert_eq!(reference[0].objects, cluster(&[0, 1, 2]));
+        assert_eq!(reference[0].interval(), TimeInterval::new(0, 29));
         for engine in [
             CmcEngine::Swept,
             CmcEngine::Parallel { threads: 2 },
@@ -939,7 +894,7 @@ mod tests {
             CmcEngine::Sharded { shards: 6 },
             CmcEngine::Sharded { shards: 0 },
         ] {
-            let got = normalize_convoys(engine.run(&db, &query), &query);
+            let got = normalize_convoys(run(engine, &db, &query), &query);
             assert_eq!(got, reference, "{} disagreed with per-tick", engine.name());
         }
     }
@@ -950,7 +905,8 @@ mod tests {
         // partitions: the chain must survive every boundary.
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 25, 1.5);
-        let convoys = normalize_convoys(cmc_parallel(&db, &query, 7), &query);
+        let convoys =
+            normalize_convoys(run(CmcEngine::Parallel { threads: 7 }, &db, &query), &query);
         assert_eq!(convoys.len(), 1);
         assert_eq!(convoys[0].start, 0);
         assert_eq!(convoys[0].end, 29);
@@ -961,8 +917,8 @@ mod tests {
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
         let window = TimeInterval::new(10, 12);
-        let sequential = CmcEngine::Swept.run_windowed(&db, &query, window);
-        let parallel = cmc_parallel_windowed(&db, &query, window, 64);
+        let sequential = run_window(CmcEngine::Swept, &db, &query, window);
+        let parallel = run_window(CmcEngine::Parallel { threads: 64 }, &db, &query, window);
         assert_eq!(
             normalize_convoys(parallel, &query),
             normalize_convoys(sequential, &query)
@@ -970,9 +926,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_on_empty_database_returns_nothing() {
+    fn empty_database_returns_nothing_on_every_engine() {
         let db = TrajectoryDatabase::new();
-        assert!(cmc_parallel(&db, &ConvoyQuery::new(2, 2, 1.0), 4).is_empty());
+        let query = ConvoyQuery::new(2, 2, 1.0);
+        for engine in [
+            CmcEngine::PerTick,
+            CmcEngine::Swept,
+            CmcEngine::Parallel { threads: 4 },
+            CmcEngine::Sharded { shards: 4 },
+        ] {
+            assert_eq!(engine.run_with_stats(&db, &query), Default::default());
+        }
     }
 
     #[test]
@@ -1103,8 +1067,11 @@ mod tests {
         // And the driver completes (clamped) rather than exhausting the OS.
         let db = convoy_db();
         let query = ConvoyQuery::new(3, 5, 1.5);
-        let reference = normalize_convoys(CmcEngine::Swept.run(&db, &query), &query);
-        let capped = normalize_convoys(cmc_parallel(&db, &query, 500_000), &query);
+        let reference = normalize_convoys(run(CmcEngine::Swept, &db, &query), &query);
+        let capped = normalize_convoys(
+            run(CmcEngine::Parallel { threads: 500_000 }, &db, &query),
+            &query,
+        );
         assert_eq!(capped, reference);
     }
 
@@ -1230,5 +1197,171 @@ mod tests {
         let convoys = state.finish();
         assert_eq!(convoys.len(), 1);
         assert_eq!(convoys[0].interval(), TimeInterval::new(0, 3));
+    }
+
+    // Algorithm 1 semantics, on the default (swept) engine.
+
+    /// Builds a database from per-object position tables: `positions[i]` is a
+    /// list of `(x, y, t)` samples for object `i`.
+    fn db_from(positions: &[&[(f64, f64, i64)]]) -> TrajectoryDatabase {
+        let mut db = TrajectoryDatabase::new();
+        for (i, samples) in positions.iter().enumerate() {
+            db.insert(
+                ObjectId(i as u64),
+                Trajectory::from_tuples(samples.iter().copied()).unwrap(),
+            );
+        }
+        db
+    }
+
+    #[test]
+    fn lifetime_constraint_filters_short_groups() {
+        let db = convoy_db();
+        // k larger than the whole domain: nothing qualifies.
+        let query = ConvoyQuery::new(3, 50, 1.5);
+        assert!(run(CmcEngine::Swept, &db, &query).is_empty());
+    }
+
+    #[test]
+    fn group_size_constraint() {
+        let db = convoy_db();
+        let query = ConvoyQuery::new(4, 5, 1.5);
+        assert!(normalize_convoys(run(CmcEngine::Swept, &db, &query), &query).is_empty());
+    }
+
+    #[test]
+    fn convoy_ends_when_an_object_departs() {
+        // Objects 0 and 1 travel together on [0, 9]; object 2 joins them only
+        // on [0, 4] and then veers away.
+        let rows: Vec<Vec<(f64, f64, i64)>> = vec![
+            (0..10).map(|t| (t as f64, 0.0, t as i64)).collect(),
+            (0..10).map(|t| (t as f64, 0.5, t as i64)).collect(),
+            (0..10)
+                .map(|t| {
+                    let y = if t <= 4 {
+                        1.0
+                    } else {
+                        1.0 + (t - 4) as f64 * 10.0
+                    };
+                    (t as f64, y, t as i64)
+                })
+                .collect(),
+        ];
+        let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = db_from(&refs);
+        let query = ConvoyQuery::new(2, 3, 1.5);
+        let result = normalize_convoys(run(CmcEngine::Swept, &db, &query), &query);
+        // The pair {0,1} convoys for the whole window. Note that Algorithm 1
+        // reports a candidate only when it *fails* to extend, so the
+        // shrinking candidate {0,1,2}→{0,1} does not additionally emit the
+        // triple over [0,4] — this matches the paper's published algorithm
+        // (Table 2 / Figure 5) and is the semantics CuTS reproduces exactly.
+        assert_eq!(result.len(), 1);
+        assert!(result
+            .iter()
+            .any(|c| c.objects.len() == 2 && c.start == 0 && c.end == 9));
+    }
+
+    #[test]
+    fn departing_object_is_reported_when_the_remaining_group_dissolves() {
+        // Same shape as above, but objects 0 and 1 also separate at t=5, so
+        // the candidate fails to extend and the triple over [0, 4] *is*
+        // reported.
+        let rows: Vec<Vec<(f64, f64, i64)>> = vec![
+            (0..10)
+                .map(|t| {
+                    let y = if t <= 4 { 0.0 } else { -(t - 4) as f64 * 20.0 };
+                    (t as f64, y, t as i64)
+                })
+                .collect(),
+            (0..10).map(|t| (t as f64, 0.5, t as i64)).collect(),
+            (0..10)
+                .map(|t| {
+                    let y = if t <= 4 {
+                        1.0
+                    } else {
+                        1.0 + (t - 4) as f64 * 20.0
+                    };
+                    (t as f64, y, t as i64)
+                })
+                .collect(),
+        ];
+        let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = db_from(&refs);
+        let query = ConvoyQuery::new(2, 3, 1.5);
+        let result = normalize_convoys(run(CmcEngine::Swept, &db, &query), &query);
+        assert!(result
+            .iter()
+            .any(|c| c.objects.len() == 3 && c.start == 0 && c.end == 4));
+    }
+
+    #[test]
+    fn missing_samples_are_interpolated() {
+        // Object 1 has no sample at t=2 but is travelling alongside object 0;
+        // interpolation must keep the convoy alive through the gap.
+        let rows: Vec<Vec<(f64, f64, i64)>> = vec![
+            (0..6).map(|t| (t as f64, 0.0, t as i64)).collect(),
+            vec![
+                (0.0, 0.5, 0),
+                (1.0, 0.5, 1),
+                (3.0, 0.5, 3),
+                (4.0, 0.5, 4),
+                (5.0, 0.5, 5),
+            ],
+        ];
+        let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = db_from(&refs);
+        let query = ConvoyQuery::new(2, 6, 1.0);
+        let result = normalize_convoys(run(CmcEngine::Swept, &db, &query), &query);
+        assert_eq!(
+            result.len(),
+            1,
+            "interpolation must bridge the missing sample"
+        );
+        assert_eq!(result[0].lifetime(), 6);
+    }
+
+    #[test]
+    fn windowed_cmc_restricts_the_search() {
+        let db = convoy_db();
+        let query = ConvoyQuery::new(3, 3, 1.5);
+        let result = normalize_convoys(
+            run_window(CmcEngine::Swept, &db, &query, TimeInterval::new(2, 6)),
+            &query,
+        );
+        assert_eq!(result.len(), 1);
+        assert_eq!(result[0].start, 2);
+        assert_eq!(result[0].end, 6);
+    }
+
+    #[test]
+    fn two_disjoint_convoys_are_both_reported() {
+        let rows: Vec<Vec<(f64, f64, i64)>> = vec![
+            (0..8).map(|t| (t as f64, 0.0, t as i64)).collect(),
+            (0..8).map(|t| (t as f64, 0.5, t as i64)).collect(),
+            (0..8).map(|t| (-(t as f64), 50.0, t as i64)).collect(),
+            (0..8).map(|t| (-(t as f64), 50.5, t as i64)).collect(),
+        ];
+        let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = db_from(&refs);
+        let query = ConvoyQuery::new(2, 4, 1.0);
+        let result = normalize_convoys(run(CmcEngine::Swept, &db, &query), &query);
+        assert_eq!(result.len(), 2);
+    }
+
+    #[test]
+    fn density_connected_chain_forms_one_convoy() {
+        // Figure 1: an elongated chain of objects each within e of the next —
+        // the group a fixed-size flock disc would lose, but density connection
+        // keeps whole.
+        let rows: Vec<Vec<(f64, f64, i64)>> = (0..5)
+            .map(|lane| (0..6).map(|t| (t as f64, lane as f64, t as i64)).collect())
+            .collect();
+        let refs: Vec<&[(f64, f64, i64)]> = rows.iter().map(|r| r.as_slice()).collect();
+        let db = db_from(&refs);
+        let query = ConvoyQuery::new(2, 6, 1.2);
+        let result = normalize_convoys(run(CmcEngine::Swept, &db, &query), &query);
+        assert_eq!(result.len(), 1);
+        assert_eq!(result[0].objects.len(), 5);
     }
 }

@@ -8,19 +8,17 @@
 //!   lifetime `k`, find every maximal group of at least `m` objects that are
 //!   density-connected with respect to `e` at each of at least `k`
 //!   consecutive time points;
-//! * **CMC** ([`cmc`]): the Coherent Moving Cluster baseline (Algorithm 1)
-//!   that clusters every snapshot and intersects clusters over time;
-//! * the **streaming + parallel engine** ([`engine`]): the incremental
-//!   [`CmcState`] fold, the swept single-pass extraction and the
-//!   time-partitioned parallel driver behind [`cmc`] — selectable per run via
-//!   [`CmcEngine`];
-//! * the **sharded driver** ([`shard`]): spatially sharded discovery — grid
-//!   shards clustered on worker threads with boundary-halo exchange and an
-//!   exact cluster merge, bit-identical to sequential [`cmc()`](cmc::cmc);
+//! * **CMC** ([`engine`]): the Coherent Moving Cluster baseline
+//!   (Algorithm 1) that clusters every snapshot and intersects clusters over
+//!   time — the incremental [`CmcState`] fold behind one [`CmcEngine`]
+//!   (per-tick, swept single-pass, time-partitioned parallel, or spatially
+//!   sharded — see [`shard`]). [`CmcEngine::run_with_stats`] and
+//!   [`CmcEngine::run_obs`] (a window and a recorder) are the only ways to
+//!   run it, and every engine's output is bit-identical;
 //! * the **CuTS family** ([`cuts`]): the filter–refinement algorithms built
 //!   on trajectory simplification — CuTS (DP + `DLL` bounds), CuTS+ (DP+ +
 //!   `DLL` bounds) and CuTS* (DP* + `D*` bounds);
-//! * **MC2** ([`mc2`]): the moving-cluster baseline used in the paper's
+//! * **MC2** ([`mc2()`]): the moving-cluster baseline used in the paper's
 //!   appendix to show that moving-cluster semantics cannot answer convoy
 //!   queries exactly;
 //! * parameter guidelines ([`params`]) and instrumentation
@@ -54,7 +52,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod candidate;
-pub mod cmc;
 pub mod cuts;
 pub mod discovery;
 pub mod engine;
@@ -65,7 +62,6 @@ pub mod query;
 pub mod shard;
 
 pub use candidate::CandidateConvoy;
-pub use cmc::{cmc, cmc_windowed};
 pub use cuts::partition::{
     cluster_partition, CandidateChain, CandidateChainSnapshot, PartitionClusters,
 };
@@ -74,9 +70,7 @@ pub use cuts::refine::{
 };
 pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
-pub use engine::{
-    cmc_parallel, cmc_parallel_windowed, CmcEngine, CmcState, CmcStateSnapshot, CmcStats,
-};
+pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};
 pub use mc2::{mc2, Mc2Config};
 pub use metrics::{
     duration_ns, fold_stats_from_snapshot, publish_discovery, publish_fold_stats,
@@ -84,4 +78,4 @@ pub use metrics::{
 };
 pub use params::{auto_delta, auto_lambda};
 pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};
-pub use shard::{cmc_sharded, cmc_sharded_windowed, resolved_shard_count, MAX_SHARDS};
+pub use shard::{resolved_shard_count, MAX_SHARDS};

@@ -1,13 +1,13 @@
 //! The spatially sharded convoy discovery driver.
 //!
-//! Where [`cmc_parallel_windowed`](crate::engine::cmc_parallel_windowed)
-//! partitions *time*, this driver partitions *space*: the world bounding box
+//! Where [`CmcEngine::Parallel`] partitions *time*, this driver
+//! ([`CmcEngine::Sharded`]) partitions *space*: the world bounding box
 //! is grid-sharded into `S` rectangles ([`ShardGrid`]), worker threads sweep
 //! the window and density-cluster each shard's objects (plus a `2e` boundary
 //! halo) independently, and a coordinator merges the shard-local clusters of
 //! every tick back into exactly the global clustering before folding them
-//! through one [`CmcState`]. The result is bit-identical to sequential
-//! [`cmc()`](crate::cmc::cmc) — same convoys, same order — because both the merge
+//! through one [`CmcState`]. The result is bit-identical to the sequential
+//! [`CmcEngine::Swept`] — same convoys, same order — because both the merge
 //! (see [`traj_cluster::shard`]) and the fold reproduce the sequential
 //! algorithm's semantics exactly.
 //!
@@ -30,7 +30,7 @@
 //! same reason it does in the parallel driver (Algorithm 1's fresh-candidate
 //! rule couples chain creation across ticks).
 
-use crate::engine::{CmcEngine, CmcState, MAX_PARALLEL_THREADS};
+use crate::engine::{CmcEngine, CmcState, CmcStats, MAX_PARALLEL_THREADS};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use traj_cluster::shard::{
@@ -66,7 +66,8 @@ fn world_bounds(db: &TrajectoryDatabase) -> Option<BoundingBox> {
     )
 }
 
-/// Runs CMC over `window` with spatially sharded clustering.
+/// Runs CMC over `window` with spatially sharded clustering (the
+/// [`CmcEngine::Sharded`] engine).
 ///
 /// The window is swept **once** ([`SnapshotSweep`]) and the extracted
 /// snapshots are shared read-only with the worker threads (one per shard,
@@ -80,43 +81,23 @@ fn world_bounds(db: &TrajectoryDatabase) -> Option<BoundingBox> {
 /// `shards == 0` selects one shard per available core; counts are clamped to
 /// [`MAX_SHARDS`]. With one shard (or an empty database) this degrades to
 /// the swept sequential engine.
-pub fn cmc_sharded_windowed(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    shards: usize,
-) -> Vec<Convoy> {
-    cmc_sharded_windowed_with_stats(db, query, window, shards).0
-}
-
-/// Like [`cmc_sharded_windowed`], but also returns the coordinator fold's
-/// counters.
-pub fn cmc_sharded_windowed_with_stats(
-    db: &TrajectoryDatabase,
-    query: &ConvoyQuery,
-    window: TimeInterval,
-    shards: usize,
-) -> (Vec<Convoy>, crate::engine::CmcStats) {
-    cmc_sharded_windowed_with_stats_obs(db, query, window, shards, &Obs::noop(), SpanId::NONE)
-}
-
-/// Like [`cmc_sharded_windowed_with_stats`], recording into `obs`: a
-/// `cmc.sharded` root span with a real `cmc.sweep` span over the shared
-/// snapshot extraction, one real `cmc.shard` span per worker thread (each
-/// worker covers the shards assigned to it round-robin), and a real
+///
+/// Records a `cmc.sharded` root span with a real `cmc.sweep` span over the
+/// shared snapshot extraction, one real `cmc.shard` span per worker thread
+/// (each worker covers the shards assigned to it round-robin), and a real
 /// `cmc.fold` span over the merge-and-stitch pass.
-pub fn cmc_sharded_windowed_with_stats_obs(
+pub(crate) fn cmc_sharded(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
     window: TimeInterval,
     shards: usize,
     obs: &Obs,
     parent: SpanId,
-) -> (Vec<Convoy>, crate::engine::CmcStats) {
+) -> (Vec<Convoy>, CmcStats) {
     let shard_count = resolved_shard_count(shards);
     let bounds = match world_bounds(db) {
         Some(bounds) if shard_count > 1 => bounds,
-        _ => return CmcEngine::Swept.run_windowed_with_stats_obs(db, query, window, obs, parent),
+        _ => return CmcEngine::Swept.run_obs(db, query, Some(window), obs, parent),
     };
     let grid = ShardGrid::new(bounds, shard_count);
     let shard_count = grid.num_shards();
@@ -193,19 +174,21 @@ pub fn cmc_sharded_windowed_with_stats_obs(
     out
 }
 
-/// Runs [`cmc_sharded_windowed`] over the whole time domain of `db`.
-pub fn cmc_sharded(db: &TrajectoryDatabase, query: &ConvoyQuery, shards: usize) -> Vec<Convoy> {
-    match db.time_domain() {
-        Some(window) => cmc_sharded_windowed(db, query, window, shards),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::normalize_convoys;
     use trajectory::{ObjectId, Trajectory};
+
+    /// Whole-domain convoys of `engine`.
+    fn run(engine: CmcEngine, db: &TrajectoryDatabase, query: &ConvoyQuery) -> Vec<Convoy> {
+        engine.run_with_stats(db, query).0
+    }
+
+    /// Whole-domain convoys of the sharded engine.
+    fn sharded(db: &TrajectoryDatabase, query: &ConvoyQuery, shards: usize) -> Vec<Convoy> {
+        run(CmcEngine::Sharded { shards }, db, query)
+    }
 
     /// Three objects convoying along x with a diagonal spread of ~1.4 in x,
     /// so with one-unit-wide shard strips the cluster straddles an internal
@@ -233,12 +216,12 @@ mod tests {
     fn sharded_output_is_bit_identical_to_sequential() {
         let db = marching_db(30);
         let query = ConvoyQuery::new(3, 5, 1.5);
-        let reference = CmcEngine::Swept.run(&db, &query);
+        let reference = run(CmcEngine::Swept, &db, &query);
         assert!(!reference.is_empty());
         for shards in [2, 3, 5, 16] {
             // Raw (un-normalized) equality: same convoys in the same order.
             assert_eq!(
-                cmc_sharded(&db, &query, shards),
+                sharded(&db, &query, shards),
                 reference,
                 "{shards} shards diverged from sequential"
             );
@@ -251,7 +234,7 @@ mod tests {
         // its cluster straddles an internal edge at every single tick.
         let db = marching_db(32);
         let query = ConvoyQuery::new(3, 30, 1.5);
-        let convoys = normalize_convoys(cmc_sharded(&db, &query, 31), &query);
+        let convoys = normalize_convoys(sharded(&db, &query, 31), &query);
         assert_eq!(convoys.len(), 1);
         assert_eq!(convoys[0].start, 0);
         assert_eq!(convoys[0].end, 31);
@@ -262,11 +245,8 @@ mod tests {
     fn one_shard_and_empty_database_degrade_gracefully() {
         let db = marching_db(10);
         let query = ConvoyQuery::new(3, 5, 1.5);
-        assert_eq!(
-            cmc_sharded(&db, &query, 1),
-            CmcEngine::Swept.run(&db, &query)
-        );
-        assert!(cmc_sharded(&TrajectoryDatabase::new(), &query, 4).is_empty());
+        assert_eq!(sharded(&db, &query, 1), run(CmcEngine::Swept, &db, &query));
+        assert!(sharded(&TrajectoryDatabase::new(), &query, 4).is_empty());
     }
 
     #[test]
@@ -274,9 +254,14 @@ mod tests {
         let db = marching_db(30);
         let query = ConvoyQuery::new(3, 3, 1.5);
         let window = TimeInterval::new(5, 14);
+        let run_window = |engine: CmcEngine| {
+            engine
+                .run_obs(&db, &query, Some(window), &Obs::noop(), SpanId::NONE)
+                .0
+        };
         assert_eq!(
-            cmc_sharded_windowed(&db, &query, window, 6),
-            CmcEngine::Swept.run_windowed(&db, &query, window)
+            run_window(CmcEngine::Sharded { shards: 6 }),
+            run_window(CmcEngine::Swept)
         );
     }
 
@@ -287,8 +272,8 @@ mod tests {
         let db = marching_db(8);
         let query = ConvoyQuery::new(3, 4, 1.5);
         assert_eq!(
-            cmc_sharded(&db, &query, 1_000_000),
-            CmcEngine::Swept.run(&db, &query)
+            sharded(&db, &query, 1_000_000),
+            run(CmcEngine::Swept, &db, &query)
         );
     }
 }

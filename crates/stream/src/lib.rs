@@ -50,6 +50,8 @@ pub use stream::{
 mod tests {
     use super::*;
     use convoy_core::{ConvoyQuery, CutsVariant, Discovery, Method};
+    use convoy_obs::{Obs, Registry};
+    use std::sync::Arc;
     use trajectory::{FeedError, ObjectId, Trajectory, TrajectoryDatabase};
 
     fn push_tick(stream: &mut ConvoyStream, t: i64, rows: &[(u64, f64, f64)]) {
@@ -277,5 +279,33 @@ mod tests {
         for pair in outcome.convoys.windows(2) {
             assert_eq!(pair[0].end + 1, pair[1].start);
         }
+    }
+
+    #[test]
+    fn stream_replay_records_the_filter_counters() {
+        // The streaming filter reports the same cuts.* counters the batch
+        // filter does: one partition per close, and the exact ω distance
+        // runs for at most the grid's candidate pairs.
+        let profile = traj_datasets::DatasetProfile::truck().scaled(0.02);
+        let data = traj_datasets::generate(&profile, 11);
+        let query = ConvoyQuery::new(profile.m, profile.k, profile.e);
+        let cuts = convoy_core::CutsConfig::new(CutsVariant::CutsStar);
+        let registry = Arc::new(Registry::new());
+        let mut stream = ConvoyStream::new(replay_config(&cuts, &data.database, &query));
+        stream.set_obs(Obs::registry(registry.clone()));
+        for (id, p) in feed_order_samples(&data.database) {
+            stream.push(id, p.t, p.x, p.y).unwrap();
+        }
+        let outcome = stream.finish();
+        assert!(outcome.stats.partitions_closed > 0);
+        assert_eq!(
+            registry.counter("cuts.partitions"),
+            outcome.stats.partitions_closed
+        );
+        assert!(registry.counter("cuts.sub_trajectories") > 0);
+        assert!(registry.counter("cuts.grid_candidates") > 0);
+        assert!(
+            registry.counter("cuts.omega_evaluations") <= registry.counter("cuts.grid_candidates")
+        );
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::buffer::{bridgeable, ObjectBuffer};
 use crate::config::{EvictionPolicy, StreamConfig, StreamStats};
-use convoy_core::cuts::filter::simplify_database;
+use convoy_core::cuts::filter::{simplify_database, FilterStats};
 use convoy_core::{
     auto_delta, auto_lambda, cluster_partition, CandidateChain, CandidateConvoy, Convoy,
     ConvoyQuery, CutsConfig, Discovery, RefineFold,
@@ -324,6 +324,7 @@ impl ConvoyStream {
             });
         }
 
+        let counters_before = self.filter_scratch.counters();
         let clustered = cluster_partition(
             window,
             self.sub_pool.items(),
@@ -332,6 +333,20 @@ impl ConvoyStream {
             self.mode,
             &mut self.filter_scratch,
         );
+        if live {
+            // The scratch sums its counters over every partition; this
+            // partition's share is the difference.
+            let counters = self.filter_scratch.counters();
+            FilterStats {
+                partitions: 1,
+                sub_trajectories: self.sub_pool.items().len() as u64,
+                grid_candidates: counters.grid_candidates - counters_before.grid_candidates,
+                temporal_prunes: counters.temporal_prunes - counters_before.temporal_prunes,
+                lemma2_prunes: counters.lemma2_prunes - counters_before.lemma2_prunes,
+                omega_evaluations: counters.omega_evaluations - counters_before.omega_evaluations,
+            }
+            .record(&self.obs);
+        }
 
         // Coarse candidate chain (the chaining half of Algorithm 2), with
         // horizon eviction so an unbounded feed cannot hoard old chains.

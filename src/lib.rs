@@ -18,7 +18,9 @@
 //! * [`core`] (`convoy-core`) — the convoy query, CMC, the CuTS family and
 //!   the MC2 baseline;
 //! * [`stream`] (`convoy-stream`) — end-to-end streaming discovery: the
-//!   incremental CuTS filter with windowed eviction over live feeds.
+//!   incremental CuTS filter with windowed eviction over live feeds;
+//! * [`obs`] (`convoy-obs`) — the metrics recorder every run can report
+//!   into.
 //!
 //! ## Quick start
 //!
@@ -38,6 +40,7 @@
 #![warn(rust_2018_idioms)]
 
 pub use convoy_core as core;
+pub use convoy_obs as obs;
 pub use convoy_stream as stream;
 pub use traj_cluster as cluster;
 pub use traj_datasets as datasets;
@@ -47,9 +50,8 @@ pub use trajectory;
 /// The most commonly used items from every crate, importable in one line.
 pub mod prelude {
     pub use convoy_core::{
-        cmc, cmc_parallel, cmc_sharded, compare_result_sets, mc2, normalize_convoys, CmcEngine,
-        CmcState, CmcStats, Convoy, ConvoyQuery, CutsConfig, CutsVariant, Discovery,
-        DiscoveryOutcome, Mc2Config, Method,
+        compare_result_sets, mc2, normalize_convoys, CmcEngine, CmcState, CmcStats, Convoy,
+        ConvoyQuery, CutsConfig, CutsVariant, Discovery, DiscoveryOutcome, Mc2Config, Method,
     };
     pub use convoy_stream::{
         ConvoyStream, EvictionPolicy, FeedIngest, ReplayStream, StreamConfig, StreamOutcome,

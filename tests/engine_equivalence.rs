@@ -1,35 +1,82 @@
 //! Engine-equivalence property tests: the per-tick baseline, the swept
-//! streaming engine, the time-partitioned parallel driver, and a hand-driven
-//! incremental [`CmcState`] fold must produce identical normalized convoy
-//! sets on randomly generated databases.
+//! streaming engine, the time-partitioned parallel driver, the spatially
+//! sharded driver, and a hand-driven incremental [`CmcState`] fold must
+//! produce identical normalized convoy sets and identical fold counters on
+//! randomly generated databases, over the whole time domain and over a
+//! random sub-window.
 //!
 //! Two corpus sources feed the properties: the synthetic dataset generator
 //! (planted convoys plus background noise, the corpus the paper's figures
 //! use) and unconstrained random walks from proptest strategies (no planted
 //! structure, exercising degenerate chains, gaps and partial presence).
 
+use convoy_suite::obs::{Obs, SpanId};
 use convoy_suite::prelude::*;
 use proptest::prelude::*;
 use trajectory::SnapshotPolicy;
 
+/// The engines checked against the per-tick baseline.
+const ENGINES: [CmcEngine; 6] = [
+    CmcEngine::Swept,
+    CmcEngine::Parallel { threads: 2 },
+    CmcEngine::Parallel { threads: 3 },
+    CmcEngine::Parallel { threads: 7 },
+    CmcEngine::Sharded { shards: 2 },
+    CmcEngine::Sharded { shards: 3 },
+];
+
+/// The sub-window of `db`'s time domain that starts `cut.0` of the way into
+/// it and keeps `cut.1` of what remains (both fractions in `[0, 1)`).
+fn sub_window(db: &TrajectoryDatabase, cut: (f64, f64)) -> Option<TimeInterval> {
+    let domain = db.time_domain()?;
+    let start = domain.start + ((domain.end - domain.start) as f64 * cut.0) as i64;
+    let end = start + ((domain.end - start) as f64 * cut.1) as i64;
+    Some(TimeInterval::new(start, end))
+}
+
 /// Runs every engine plus the manual streaming fold and asserts the
 /// normalized result sets are identical (not merely equivalent up to
-/// domination — the engines share one fold, so they must agree exactly).
-fn assert_engines_agree(db: &TrajectoryDatabase, query: &ConvoyQuery, context: &str) {
-    let reference = normalize_convoys(CmcEngine::PerTick.run(db, query), query);
-    for engine in [
-        CmcEngine::Swept,
-        CmcEngine::Parallel { threads: 2 },
-        CmcEngine::Parallel { threads: 3 },
-        CmcEngine::Parallel { threads: 7 },
-    ] {
-        let got = normalize_convoys(engine.run(db, query), query);
+/// domination — the engines share one fold, so they must agree exactly),
+/// and so are the fold counters. The engines are also run over the
+/// sub-window `cut` selects (see [`sub_window`]).
+fn assert_engines_agree(
+    db: &TrajectoryDatabase,
+    query: &ConvoyQuery,
+    context: &str,
+    cut: (f64, f64),
+) {
+    let (raw, reference_stats) = CmcEngine::PerTick.run_with_stats(db, query);
+    let reference = normalize_convoys(raw, query);
+    for engine in ENGINES {
+        let (got, stats) = engine.run_with_stats(db, query);
         assert_eq!(
-            got,
+            normalize_convoys(got, query),
             reference,
             "{} engine diverged from per-tick on {context}",
             engine.name()
         );
+        assert_eq!(
+            stats,
+            reference_stats,
+            "{} engine's fold counters diverged from per-tick on {context}",
+            engine.name()
+        );
+    }
+    if let Some(window) = sub_window(db, cut) {
+        let run = |engine: CmcEngine| {
+            let (convoys, stats) =
+                engine.run_obs(db, query, Some(window), &Obs::noop(), SpanId::NONE);
+            (normalize_convoys(convoys, query), stats)
+        };
+        let reference = run(CmcEngine::PerTick);
+        for engine in ENGINES {
+            assert_eq!(
+                run(engine),
+                reference,
+                "{} engine diverged from per-tick over {window:?} on {context}",
+                engine.name()
+            );
+        }
     }
     // The incremental state driven snapshot-by-snapshot, with mid-stream
     // drains, is the same computation the batch entry points run.
@@ -84,9 +131,10 @@ proptest! {
         m in 2usize..4,
         k in 2usize..6,
         e in 2.0f64..12.0,
+        cut in (0.0f64..1.0, 0.0f64..1.0),
     ) {
         let query = ConvoyQuery::new(m, k, e);
-        assert_engines_agree(&db, &query, "a random-walk database");
+        assert_engines_agree(&db, &query, "a random-walk database", cut);
     }
 }
 
@@ -94,13 +142,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn engines_agree_on_generated_datasets(seed in 0u64..1_000_000) {
+    fn engines_agree_on_generated_datasets(
+        seed in 0u64..1_000_000,
+        cut in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
         // The paper-shaped corpus: planted convoys, hotspot attraction,
         // irregular sampling and partial presence.
         let profile = DatasetProfile::truck().scaled(0.02);
         let data = generate(&profile, seed);
         let query = ConvoyQuery::new(profile.m, profile.k, profile.e);
-        assert_engines_agree(&data.database, &query, "a generated truck dataset");
+        assert_engines_agree(&data.database, &query, "a generated truck dataset", cut);
     }
 }
 
@@ -110,7 +161,7 @@ fn engines_agree_on_every_dataset_profile() {
         let profile = DatasetProfile::named(name).scaled(0.02);
         let data = generate(&profile, 20080824);
         let query = ConvoyQuery::new(profile.m, profile.k, profile.e);
-        assert_engines_agree(&data.database, &query, name.name());
+        assert_engines_agree(&data.database, &query, name.name(), (0.3, 0.5));
     }
 }
 

@@ -33,15 +33,15 @@ const SHARD_COUNTS: [usize; 5] = [2, 3, 5, 16, 0];
 /// `db` (raw, un-normalized output) and agrees with the per-tick baseline
 /// after normalization.
 fn assert_sharded_agrees(db: &TrajectoryDatabase, query: &ConvoyQuery, context: &str) {
-    let sequential = CmcEngine::Swept.run(db, query);
+    let sequential = CmcEngine::Swept.run_with_stats(db, query).0;
     for shards in SHARD_COUNTS {
-        let sharded = CmcEngine::Sharded { shards }.run(db, query);
+        let sharded = CmcEngine::Sharded { shards }.run_with_stats(db, query).0;
         assert_eq!(
             sharded, sequential,
             "sharded ({shards} shards) not bit-identical to swept on {context}"
         );
     }
-    let reference = normalize_convoys(CmcEngine::PerTick.run(db, query), query);
+    let reference = normalize_convoys(CmcEngine::PerTick.run_with_stats(db, query).0, query);
     assert_eq!(
         normalize_convoys(sequential, query),
         reference,
@@ -206,9 +206,9 @@ fn convoy_crossing_a_shard_edge_every_tick_is_reported_intact() {
     );
 
     let query = ConvoyQuery::new(3, 30, 1.5);
-    let sequential = CmcEngine::Swept.run(&db, &query);
+    let sequential = CmcEngine::Swept.run_with_stats(&db, &query).0;
     for shards in [31, 16, 7] {
-        let sharded = CmcEngine::Sharded { shards }.run(&db, &query);
+        let sharded = CmcEngine::Sharded { shards }.run_with_stats(&db, &query).0;
         assert_eq!(sharded, sequential, "{shards} shards broke the convoy");
     }
     let convoys = normalize_convoys(sequential, &query);
