@@ -5,7 +5,7 @@
 use crate::args::{ArgError, ParsedArgs};
 use convoy_core::{
     compare_result_sets, mc2, publish_discovery, publish_stage_timings, CmcEngine, ConvoyQuery,
-    CutsConfig, CutsVariant, Discovery, Mc2Config, Method,
+    CutsConfig, CutsVariant, Discovery, Mc2Config, Method, QueryError,
 };
 use convoy_obs::{export, Obs, Registry};
 use convoy_stream::{
@@ -213,13 +213,12 @@ fn query_from_args(args: &ParsedArgs) -> Result<ConvoyQuery, CommandError> {
     let m: usize = args.require_parsed("m")?;
     let k: usize = args.require_parsed("k")?;
     let e: f64 = args.require_parsed("e")?;
-    if m == 0 || k == 0 {
-        return Err(CommandError("--m and --k must be at least 1".into()));
-    }
-    if !(e.is_finite() && e > 0.0) {
-        return Err(CommandError("--e must be finite and positive".into()));
-    }
-    Ok(ConvoyQuery::new(m, k, e))
+    ConvoyQuery::try_new(m, k, e).map_err(|err| {
+        CommandError(match err {
+            QueryError::ZeroM | QueryError::ZeroK => "--m and --k must be at least 1".into(),
+            QueryError::InvalidE(_) => "--e must be finite and positive".into(),
+        })
+    })
 }
 
 /// `convoy generate`: write a synthetic dataset CSV.

@@ -7,8 +7,11 @@
 //!   objects and time window.
 //! * [`RefineFold`] / [`refine_partitions`] — the **coverage fold** shared
 //!   with the streaming pipeline (`convoy_stream`): one [`CmcState`] folds
-//!   every tick of the filtered domain, with each tick's snapshot restricted
-//!   to the objects that co-clustered in the λ-partition(s) covering it.
+//!   every tick of the filtered domain, with each tick's snapshot holding
+//!   only the objects that co-clustered in the λ-partition(s) covering it.
+//!   Batch refinement materialises exactly those objects
+//!   ([`CoverageSnapshots`]), a semijoin reduction with the filter's
+//!   coverage as the reducer: objects outside it are never interpolated.
 //!
 //! ## Why the coverage fold is exact (and filter-independent)
 //!
@@ -39,9 +42,10 @@ use crate::cuts::partition::PartitionClusters;
 use crate::engine::{CmcEngine, CmcState, CmcStats};
 use crate::query::{Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use trajectory::{
-    ObjectId, Snapshot, SnapshotPolicy, SnapshotSweep, TimeInterval, TimePoint, TrajectoryDatabase,
+    ObjectCursor, ObjectId, Snapshot, SnapshotPolicy, TimeInterval, TimePoint, TrajectoryDatabase,
 };
 
 /// Refines one candidate: runs windowed CMC over the candidate's objects.
@@ -81,7 +85,7 @@ pub fn refine(
 ///
 /// The fold is agnostic of where positions come from: every tick's
 /// restricted snapshot is produced by a caller-supplied source, so the batch
-/// side reads a [`SnapshotSweep`] while a stream reads its ingest buffers —
+/// side reads [`CoverageSnapshots`] while a stream reads its ingest buffers —
 /// and both drive the identical per-tick loop, eviction hooks included.
 #[derive(Debug, Clone)]
 pub struct RefineFold {
@@ -290,33 +294,81 @@ pub struct FoldOutcome {
     pub evicted: u64,
 }
 
-/// Restricts a snapshot to the objects in `coverage` (the per-tick pruning
-/// the coverage fold applies before clustering).
-pub fn restrict_snapshot(mut snapshot: Snapshot, coverage: &BTreeSet<ObjectId>) -> Snapshot {
-    snapshot.entries.retain(|e| coverage.contains(&e.id));
-    snapshot
+/// The batch coverage-driven snapshot source: each tick's snapshot holds
+/// only the covered objects, read from the database through one
+/// forward-only [`ObjectCursor`] per object (the streaming counterpart reads
+/// its ingest buffers the same way).
+///
+/// Entries come out in ascending object order with the arithmetic of
+/// [`TrajectoryDatabase::snapshot`], so a snapshot is bit-identical to the
+/// database snapshot at `t` filtered to the coverage. A cursor is seeded
+/// with one binary search on the object's first use and only advances after
+/// that, so the total cost is `O(Σₜ |coverageₜ| + samples of covered
+/// objects)`; ids absent from the database are skipped.
+#[derive(Debug, Clone)]
+pub struct CoverageSnapshots<'a> {
+    db: &'a TrajectoryDatabase,
+    cursors: BTreeMap<ObjectId, ObjectCursor<'a>>,
+    positions: u64,
 }
 
-/// Refines a filter's λ-partition clusters with the coverage fold: one
-/// [`SnapshotSweep`] over the filtered domain, each tick restricted to the
-/// objects of the partition clusters covering it, folded through one
-/// [`CmcState`].
+impl<'a> CoverageSnapshots<'a> {
+    /// A source over `db` with no cursor seeded yet.
+    pub fn new(db: &'a TrajectoryDatabase) -> Self {
+        CoverageSnapshots {
+            db,
+            cursors: BTreeMap::new(),
+            positions: 0,
+        }
+    }
+
+    /// The snapshot of the covered objects at `t` (interpolating between
+    /// samples). `t` must increase across calls.
+    pub fn snapshot_at(&mut self, t: TimePoint, coverage: &BTreeSet<ObjectId>) -> Snapshot {
+        let mut entries = Vec::with_capacity(coverage.len());
+        for &id in coverage {
+            let cursor = match self.cursors.entry(id) {
+                Entry::Occupied(cursor) => cursor.into_mut(),
+                Entry::Vacant(slot) => match self.db.get(id) {
+                    Some(trajectory) => slot.insert(ObjectCursor::new(id, trajectory, t)),
+                    None => continue,
+                },
+            };
+            entries.extend(cursor.entry_at(t, SnapshotPolicy::Interpolate));
+        }
+        self.positions += entries.len() as u64;
+        Snapshot { time: t, entries }
+    }
+
+    /// Positions materialised so far, summed over every snapshot.
+    pub fn positions(&self) -> u64 {
+        self.positions
+    }
+}
+
+/// Refines a filter's λ-partition clusters with the coverage fold: every
+/// tick of the filtered domain, each materialising only the objects of the
+/// partition clusters covering it ([`CoverageSnapshots`]), folded through
+/// one [`CmcState`].
 ///
 /// Returns the raw (un-normalised) convoys in closure order together with
 /// the fold's counters. The module docs explain why this output is
 /// bit-identical to plain CMC over the same database — and therefore to the
 /// streaming pipeline's output, whatever its filter decided.
 ///
-/// **Cost profile.** Unlike the per-candidate Algorithm 3, the fold visits
-/// every tick of the filtered domain (ticks with empty coverage cost only
-/// the snapshot extraction) and clusters the coverage of every partition —
-/// including clusters that never persisted `k` ticks. The filter's benefit
-/// is therefore *object* pruning per tick, not time pruning: on data whose
-/// clusters are sparse (the paper's workloads, where most objects are noise
-/// most of the time) refinement stays far below CMC cost, while on data
-/// that clusters densely but briefly it approaches it. The trade buys the
-/// exactness-for-any-filter property above, which is what lets batch and
-/// streaming share one refinement.
+/// **Cost profile.** Position work is `O(Σₜ |coverageₜ| + samples of
+/// covered objects)`: objects the filter never covered are not touched, and
+/// a tick with empty coverage costs `O(1)` (it still folds an empty
+/// snapshot, which closes open chains). Unlike the per-candidate
+/// Algorithm 3, the fold visits every tick of the filtered domain and
+/// clusters the coverage of every partition — including clusters that never
+/// persisted `k` ticks. The filter's benefit is therefore *object* pruning
+/// per tick, not time pruning: on data whose clusters are sparse (the
+/// paper's workloads, where most objects are noise most of the time)
+/// refinement stays far below CMC cost, while on data that clusters densely
+/// but briefly it approaches it. The trade buys the exactness-for-any-filter
+/// property above, which is what lets batch and streaming share one
+/// refinement.
 ///
 /// # Panics
 ///
@@ -332,8 +384,10 @@ pub fn refine_partitions(
 }
 
 /// Like [`refine_partitions`], recording the fold's `cmc.*` and `cluster.*`
-/// metrics into `obs`. (The surrounding `discover.refine` span is the
-/// caller's — [`crate::discovery::Discovery`] wraps this call.)
+/// metrics and the `refine.positions` counter (positions materialised, see
+/// [`CoverageSnapshots::positions`]) into `obs`. (The surrounding
+/// `discover.refine` span is the caller's —
+/// [`crate::discovery::Discovery`] wraps this call.)
 pub fn refine_partitions_obs(
     db: &TrajectoryDatabase,
     query: &ConvoyQuery,
@@ -346,16 +400,9 @@ pub fn refine_partitions_obs(
             .all(|w| w[0].window.end == w[1].window.start),
         "refine_partitions requires contiguous partitions sharing boundary ticks"
     );
-    let (Some(first), Some(last)) = (partitions.first(), partitions.last()) else {
-        return (Vec::new(), CmcStats::default());
-    };
-    let domain = TimeInterval::new(first.window.start, last.window.end);
-    let mut sweep = SnapshotSweep::new(db, domain, SnapshotPolicy::Interpolate);
+    let mut source = CoverageSnapshots::new(db);
     let mut snapshot_at = |t: TimePoint, coverage: &BTreeSet<ObjectId>| -> Snapshot {
-        // lint: allow(no-unwrap-in-lib) — the sweep domain is the hull of all folded windows, so it yields every tick
-        let snapshot = sweep.next().expect("sweep covers every folded tick");
-        debug_assert_eq!(snapshot.time, t);
-        restrict_snapshot(snapshot, coverage)
+        source.snapshot_at(t, coverage)
     };
     let mut fold = RefineFold::new(query);
     fold.set_obs(obs.clone());
@@ -363,12 +410,14 @@ pub fn refine_partitions_obs(
         fold.push_partition(partition, &mut snapshot_at);
     }
     let outcome = fold.finish(&mut snapshot_at);
+    obs.counter_add("refine.positions", source.positions());
     (outcome.convoys, outcome.stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use traj_cluster::Cluster;
     use trajectory::{ObjectId, Trajectory};
 
@@ -498,15 +547,96 @@ mod tests {
     }
 
     #[test]
-    fn restrict_snapshot_keeps_only_covered_objects() {
-        use std::collections::BTreeSet;
-        let db = db();
-        let snapshot = db.snapshot(0, trajectory::SnapshotPolicy::Interpolate);
-        assert_eq!(snapshot.len(), 3);
-        let coverage: BTreeSet<ObjectId> = [ObjectId(0), ObjectId(2)].into_iter().collect();
-        let restricted = restrict_snapshot(snapshot, &coverage);
-        let ids: Vec<ObjectId> = restricted.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![ObjectId(0), ObjectId(2)]);
-        assert_eq!(restricted.time, 0);
+    fn uncovered_objects_leave_refinement_untouched() {
+        // The semijoin property: objects the filter never covers are never
+        // materialised, so a thousand far-away noise objects change neither
+        // the output, nor the fold, nor the positions refinement read.
+        use crate::cuts::filter::filter;
+        use crate::cuts::{CutsConfig, CutsVariant};
+        use convoy_obs::Registry;
+        use std::sync::Arc;
+
+        let query = ConvoyQuery::new(2, 5, 1.5);
+        // Explicit δ and λ: the automatic choice depends on the whole database.
+        let config = CutsConfig::new(CutsVariant::CutsStar)
+            .with_delta(0.5)
+            .with_lambda(5);
+        let run = |db: &TrajectoryDatabase| {
+            let output = filter(db, &query, &config);
+            let registry = Arc::new(Registry::new());
+            let obs = Obs::registry(Arc::clone(&registry));
+            let (convoys, stats) = refine_partitions_obs(db, &query, &output.partitions, &obs);
+            (convoys, stats, registry.counter("refine.positions"))
+        };
+        let base = db();
+        let mut crowded = base.clone();
+        for i in 0..1_000u64 {
+            // Isolated from the convoy and from each other: noise at every tick.
+            let x = 10_000.0 + 10.0 * i as f64;
+            crowded.insert(
+                ObjectId(100 + i),
+                Trajectory::from_tuples((0..20).map(|t| (x, 10_000.0, t))).unwrap(),
+            );
+        }
+        let reference = run(&base);
+        assert!(!reference.0.is_empty());
+        assert!(reference.2 > 0);
+        assert_eq!(run(&crowded), reference);
+    }
+
+    /// Ticks `[start, start + len1]` and, after `gap` uncovered ticks,
+    /// `len2 + 1` more: an object dropping out of coverage and returning.
+    type CoveragePattern = ((i64, i64), (i64, i64));
+
+    fn covers(&((start, len1), (gap, len2)): &CoveragePattern, t: i64) -> bool {
+        let resume = start + len1 + 1 + gap;
+        (start..=start + len1).contains(&t) || (resume..=resume + len2).contains(&t)
+    }
+
+    prop_compose! {
+        /// Objects 0, 2, 4, … with random sample times in `[0, 40)`: single
+        /// samples and objects starting or ending mid-domain included, odd
+        /// ids absent.
+        fn arb_db()(tables in proptest::collection::vec(
+            (proptest::collection::btree_set(0i64..40, 1..10),
+             proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 10)),
+            1..7)) -> TrajectoryDatabase {
+            let mut db = TrajectoryDatabase::new();
+            for (i, (times, coords)) in tables.into_iter().enumerate() {
+                let points: Vec<(f64, f64, i64)> = times
+                    .into_iter()
+                    .zip(coords)
+                    .map(|(t, (x, y))| (x, y, t))
+                    .collect();
+                db.insert(ObjectId(2 * i as u64), Trajectory::from_tuples(points).unwrap());
+            }
+            db
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn coverage_snapshots_equal_filtered_database_snapshots(
+            db in arb_db(),
+            // Coverage for ids 0..16: db objects, interleaved absent ids and
+            // ids beyond the database; long gaps skip many samples.
+            patterns in proptest::collection::vec(
+                ((0i64..50, 0i64..10), (0i64..30, 0i64..10)), 16)) {
+            let mut source = CoverageSnapshots::new(&db);
+            let mut expected_positions = 0;
+            for t in -3..45 {
+                let coverage: BTreeSet<ObjectId> = patterns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, pattern)| covers(pattern, t))
+                    .map(|(id, _)| ObjectId(id as u64))
+                    .collect();
+                let mut expected = db.snapshot(t, SnapshotPolicy::Interpolate);
+                expected.entries.retain(|e| coverage.contains(&e.id));
+                expected_positions += expected.len() as u64;
+                prop_assert_eq!(source.snapshot_at(t, &coverage), expected);
+            }
+            prop_assert_eq!(source.positions(), expected_positions);
+        }
     }
 }

@@ -66,7 +66,7 @@ pub use cuts::partition::{
     cluster_partition, CandidateChain, CandidateChainSnapshot, PartitionClusters,
 };
 pub use cuts::refine::{
-    refine_partitions, restrict_snapshot, FoldOutcome, RefineFold, RefineFoldSnapshot,
+    refine_partitions, CoverageSnapshots, FoldOutcome, RefineFold, RefineFoldSnapshot,
 };
 pub use cuts::{CutsConfig, CutsVariant};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
@@ -77,5 +77,7 @@ pub use metrics::{
     publish_stage_timings, refinement_unit, DiscoveryStats, StageTimings,
 };
 pub use params::{auto_delta, auto_lambda};
-pub use query::{compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery};
+pub use query::{
+    compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery, QueryError,
+};
 pub use shard::{resolved_shard_count, MAX_SHARDS};

@@ -17,7 +17,8 @@ pub struct ConvoyQuery {
 }
 
 impl ConvoyQuery {
-    /// Creates a query, clamping `m` and `k` to at least 1.
+    /// Creates a query, clamping `m` and `k` to at least 1. Untrusted
+    /// parameters go through [`ConvoyQuery::try_new`] instead.
     pub fn new(m: usize, k: usize, e: f64) -> Self {
         ConvoyQuery {
             m: m.max(1),
@@ -25,7 +26,53 @@ impl ConvoyQuery {
             e,
         }
     }
+
+    /// Creates a query, rejecting `m = 0`, `k = 0` and a distance threshold
+    /// `e` that is not finite and positive.
+    ///
+    /// ```
+    /// use convoy_core::{ConvoyQuery, QueryError};
+    ///
+    /// assert_eq!(ConvoyQuery::try_new(3, 5, 1.5), Ok(ConvoyQuery::new(3, 5, 1.5)));
+    /// assert_eq!(ConvoyQuery::try_new(0, 5, 1.5), Err(QueryError::ZeroM));
+    /// assert!(ConvoyQuery::try_new(3, 5, f64::NAN).is_err());
+    /// ```
+    pub fn try_new(m: usize, k: usize, e: f64) -> Result<Self, QueryError> {
+        if m == 0 {
+            return Err(QueryError::ZeroM);
+        }
+        if k == 0 {
+            return Err(QueryError::ZeroK);
+        }
+        if !(e.is_finite() && e > 0.0) {
+            return Err(QueryError::InvalidE(e));
+        }
+        Ok(ConvoyQuery { m, k, e })
+    }
 }
+
+/// Why [`ConvoyQuery::try_new`] rejected its parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QueryError {
+    /// `m = 0`: a convoy needs at least one object.
+    ZeroM,
+    /// `k = 0`: a convoy lasts at least one time point.
+    ZeroK,
+    /// `e` is NaN, infinite, zero or negative.
+    InvalidE(f64),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QueryError::ZeroM => f.write_str("m must be at least 1"),
+            QueryError::ZeroK => f.write_str("k must be at least 1"),
+            QueryError::InvalidE(e) => write!(f, "e must be finite and positive, got {e}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
 
 /// One convoy in a query result: a group of objects together with the time
 /// interval during which they travelled together.
@@ -225,6 +272,23 @@ mod tests {
 
     fn convoy(ids: &[u64], start: i64, end: i64) -> Convoy {
         Convoy::new(cluster(ids), start, end)
+    }
+
+    #[test]
+    fn try_new_rejects_invalid_queries_with_a_typed_error() {
+        assert_eq!(
+            ConvoyQuery::try_new(2, 3, 1.0),
+            Ok(ConvoyQuery { m: 2, k: 3, e: 1.0 })
+        );
+        assert_eq!(ConvoyQuery::try_new(0, 3, 1.0), Err(QueryError::ZeroM));
+        assert_eq!(ConvoyQuery::try_new(2, 0, 1.0), Err(QueryError::ZeroK));
+        for e in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            assert!(
+                matches!(ConvoyQuery::try_new(2, 3, e), Err(QueryError::InvalidE(_))),
+                "e = {e} accepted"
+            );
+        }
+        assert_eq!(QueryError::ZeroK.to_string(), "k must be at least 1");
     }
 
     #[test]

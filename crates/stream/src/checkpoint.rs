@@ -49,7 +49,7 @@ use crate::config::{EvictionPolicy, StreamConfig};
 use crate::stream::ConvoyStream;
 use convoy_core::{
     CandidateChain, CandidateChainSnapshot, CandidateConvoy, CmcStateSnapshot, Convoy, ConvoyQuery,
-    CutsVariant, RefineFold, RefineFoldSnapshot,
+    CutsVariant, QueryError, RefineFold, RefineFoldSnapshot,
 };
 use convoy_obs::Obs;
 use std::collections::BTreeMap;
@@ -90,6 +90,8 @@ pub enum CheckpointError {
     ChecksumMismatch,
     /// The structure decoded but violates a format invariant.
     Malformed(&'static str),
+    /// The stored convoy query fails [`ConvoyQuery::try_new`].
+    InvalidQuery(QueryError),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -103,6 +105,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Truncated => write!(f, "checkpoint is truncated"),
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
+            CheckpointError::InvalidQuery(e) => write!(f, "checkpoint holds an invalid query: {e}"),
         }
     }
 }
@@ -111,6 +114,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::InvalidQuery(e) => Some(e),
             _ => None,
         }
     }
@@ -416,10 +420,11 @@ fn decode_config(d: &mut Dec<'_>) -> Result<StreamConfig, CheckpointError> {
     };
     let horizon = d.opt_i64()?;
     let max_candidates = d.opt_u64()?.map(|v| v as usize);
-    if m == 0 || k == 0 || !e.is_finite() || !delta.is_finite() || lambda < 2 {
+    let query = ConvoyQuery::try_new(m, k, e).map_err(CheckpointError::InvalidQuery)?;
+    if !delta.is_finite() || lambda < 2 {
         return Err(CheckpointError::Malformed("configuration out of range"));
     }
-    Ok(StreamConfig::new(ConvoyQuery::new(m, k, e), delta, lambda)
+    Ok(StreamConfig::new(query, delta, lambda)
         .with_variant(variant)
         .with_tolerance_mode(tolerance_mode)
         .with_eviction(EvictionPolicy {
@@ -787,5 +792,21 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn decoded_queries_are_validated_not_clamped() {
+        // A query `ConvoyQuery::try_new` rejects, written with a valid
+        // checksum: decode refuses it instead of clamping `m` to 1.
+        for (query, expected) in [
+            (ConvoyQuery { m: 0, k: 3, e: 1.0 }, QueryError::ZeroM),
+            (ConvoyQuery { m: 2, k: 0, e: 1.0 }, QueryError::ZeroK),
+        ] {
+            let bytes = ConvoyStream::new(StreamConfig::new(query, 0.2, 4)).checkpoint_bytes();
+            match ConvoyStream::from_checkpoint_bytes(&bytes) {
+                Err(CheckpointError::InvalidQuery(err)) => assert_eq!(err, expected),
+                other => panic!("decoded {query:?}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 }

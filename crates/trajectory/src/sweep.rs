@@ -13,20 +13,93 @@
 //! [`TrajectoryDatabase::snapshot`] calls (same entry order, same
 //! interpolation arithmetic), which is what lets the convoy engines switch
 //! between the two extraction paths freely.
+//!
+//! Its per-object step is the public [`ObjectCursor`], so a caller that only
+//! needs *some* objects at each tick (CuTS refinement reads just the
+//! filter's coverage) drives the same arithmetic one object at a time.
 
 use crate::database::ObjectId;
 use crate::database::{Snapshot, SnapshotEntry, SnapshotPolicy, TrajectoryDatabase};
 use crate::point::TrajPoint;
 use crate::time::{TimeInterval, TimePoint};
+use crate::trajectory::Trajectory;
 
-/// A forward-only cursor into one object's sample list.
+/// A forward-only cursor into one object's sample list: the object's
+/// [`SnapshotEntry`] at successive, non-decreasing time points.
+///
+/// Construction seeks once (a binary search); after that every query only
+/// advances, so a cursor costs `O(samples)` in total however many time
+/// points it answers. Entries are bit-identical to the object's entry in
+/// [`TrajectoryDatabase::snapshot`].
+///
+/// ```
+/// use trajectory::{ObjectCursor, ObjectId, SnapshotPolicy, Trajectory};
+///
+/// let traj = Trajectory::from_tuples([(0.0, 0.0, 0), (2.0, 0.0, 2)]).unwrap();
+/// let mut cursor = ObjectCursor::new(ObjectId(1), &traj, 0);
+/// let entry = cursor.entry_at(1, SnapshotPolicy::Interpolate).unwrap();
+/// assert_eq!((entry.position.x, entry.interpolated), (1.0, true));
+/// assert!(cursor.entry_at(1, SnapshotPolicy::ExactOnly).is_none());
+/// assert!(!cursor.entry_at(2, SnapshotPolicy::ExactOnly).unwrap().interpolated);
+/// assert!(cursor.entry_at(3, SnapshotPolicy::Interpolate).is_none());
+/// ```
 #[derive(Debug, Clone)]
-struct ObjectCursor<'a> {
+pub struct ObjectCursor<'a> {
     id: ObjectId,
     points: &'a [TrajPoint],
-    /// Index of the last sample with `points[idx].t <= t` for the sweep's
-    /// current time `t` (only valid once `t` has reached the object's start).
+    /// Index of the last sample with `points[idx].t <= t` for the latest
+    /// queried time `t` (only valid once `t` has reached the object's start).
     idx: usize,
+}
+
+impl<'a> ObjectCursor<'a> {
+    /// A cursor over `trajectory` for object `id`, seeked to the last sample
+    /// at or before `start` (one binary search, so a cursor first used deep
+    /// into a long trajectory does not scan every earlier sample).
+    #[inline]
+    pub fn new(id: ObjectId, trajectory: &'a Trajectory, start: TimePoint) -> Self {
+        let points = trajectory.points();
+        let idx = points.partition_point(|p| p.t <= start).saturating_sub(1);
+        ObjectCursor { id, points, idx }
+    }
+
+    /// The object's entry at `t`: `None` outside its lifetime (and between
+    /// samples under [`SnapshotPolicy::ExactOnly`]); an exact sample is
+    /// `interpolated: false`, anything else the virtual point of
+    /// [`TrajPoint::interpolate`]. `t` must not decrease across calls.
+    #[inline]
+    pub fn entry_at(&mut self, t: TimePoint, policy: SnapshotPolicy) -> Option<SnapshotEntry> {
+        let points = self.points;
+        if t < points[0].t || t > points[points.len() - 1].t {
+            return None;
+        }
+        // Advance to the last sample at or before `t`. Query times only move
+        // forward, so across a cursor's life it advances at most
+        // `points.len()` times: amortized O(1) per query.
+        while self.idx + 1 < points.len() && points[self.idx + 1].t <= t {
+            self.idx += 1;
+        }
+        let before = &points[self.idx];
+        debug_assert!(before.t <= t, "cursor queried backwards in time");
+        if before.t == t {
+            Some(SnapshotEntry {
+                id: self.id,
+                position: before.position(),
+                interpolated: false,
+            })
+        } else if policy == SnapshotPolicy::Interpolate {
+            // Same virtual-point arithmetic as `Trajectory::location_at`
+            // (one shared helper), so cursor and per-tick snapshots are
+            // bit-identical.
+            Some(SnapshotEntry {
+                id: self.id,
+                position: TrajPoint::interpolate(before, &points[self.idx + 1], t),
+                interpolated: true,
+            })
+        } else {
+            None
+        }
+    }
 }
 
 /// A streaming cursor that yields the successive [`Snapshot`]s of a time
@@ -71,17 +144,7 @@ impl<'a> SnapshotSweep<'a> {
     pub fn new(db: &'a TrajectoryDatabase, window: TimeInterval, policy: SnapshotPolicy) -> Self {
         let cursors = db
             .iter()
-            .map(|(id, traj)| {
-                let points = traj.points();
-                // Seek once to the last sample at or before the window start
-                // (one binary search), so a sub-window sweep deep into a long
-                // trajectory does not linearly advance through every earlier
-                // sample on its first tick.
-                let idx = points
-                    .partition_point(|p| p.t <= window.start)
-                    .saturating_sub(1);
-                ObjectCursor { id, points, idx }
-            })
+            .map(|(id, traj)| ObjectCursor::new(id, traj, window.start))
             .collect();
         SnapshotSweep {
             cursors,
@@ -132,37 +195,11 @@ impl Iterator for SnapshotSweep<'_> {
         }
 
         let mut entries: Vec<SnapshotEntry> = Vec::with_capacity(self.last_len);
+        // Cursors are in ascending id order (database iteration order), so
+        // the entries come out sorted by id exactly like `snapshot()`.
         for cursor in &mut self.cursors {
-            // Cursors are in ascending id order (database iteration order), so
-            // the entries come out sorted by id exactly like `snapshot()`.
-            let first_t = cursor.points[0].t;
-            let last_t = cursor.points[cursor.points.len() - 1].t;
-            if t < first_t || t > last_t {
-                continue;
-            }
-            // Advance to the last sample at or before `t`. The sweep time only
-            // moves forward, so across the whole window each cursor advances
-            // at most `points.len()` times: amortized O(1) per tick.
-            while cursor.idx + 1 < cursor.points.len() && cursor.points[cursor.idx + 1].t <= t {
-                cursor.idx += 1;
-            }
-            let before = &cursor.points[cursor.idx];
-            if before.t == t {
-                entries.push(SnapshotEntry {
-                    id: cursor.id,
-                    position: before.position(),
-                    interpolated: false,
-                });
-            } else if self.policy == SnapshotPolicy::Interpolate {
-                // Same virtual-point arithmetic as `Trajectory::location_at`
-                // (one shared helper), so swept and per-tick snapshots are
-                // bit-identical.
-                let after = &cursor.points[cursor.idx + 1];
-                entries.push(SnapshotEntry {
-                    id: cursor.id,
-                    position: TrajPoint::interpolate(before, after, t),
-                    interpolated: true,
-                });
+            if let Some(entry) = cursor.entry_at(t, self.policy) {
+                entries.push(entry);
             }
         }
         self.last_len = entries.len();
