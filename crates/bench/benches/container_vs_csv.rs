@@ -1,7 +1,7 @@
 //! Cold-start ingestion: the binary `.convoy` columnar container against
 //! plain CSV, on identical databases. "Cold" means every iteration starts
 //! from raw bytes — the CSV side pays text parsing per sample, the container
-//! side pays one header walk plus per-block CRC + column memcpy — so the
+//! side pays one header walk plus per-block CRC + column decode — so the
 //! ratio is the zero-parse dividend `convoy convert` buys. The windowed
 //! group measures the other half of the trade: the block time-index lets a
 //! `--from/--to` query skip non-intersecting blocks entirely, which no flat
@@ -70,7 +70,7 @@ fn bench_cold_load(c: &mut Criterion) {
                 db.total_points()
             })
         });
-        // The steady-state container path: reader (and its decode buffers)
+        // The steady-state container path: reader (and its block buffer)
         // survives across loads, as in `ContainerSource`.
         group.bench_with_input(
             BenchmarkId::new("convoy_warm", &id),

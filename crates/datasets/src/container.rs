@@ -3,9 +3,9 @@
 //! CSV parsing dominates cold-start: every sample costs an integer/float
 //! parse, and nothing in the file says where a time range lives. This module
 //! defines a read-optimized binary layout — time-blocked, column-major,
-//! indexed — so a full load is a straight `memcpy`-shaped column decode and
-//! a windowed load touches only the blocks whose time range intersects the
-//! window.
+//! indexed — so a full load is one checksummed read and a column decode per
+//! block, and a windowed load touches only the blocks whose time range
+//! intersects the window.
 //!
 //! ## File format (version 1)
 //!
@@ -32,6 +32,21 @@
 //! run of blocks. The per-block CRC (same [`crc32`] the stream checkpoint
 //! uses) means a windowed read verifies only the bytes it actually decodes.
 //!
+//! ## How a load decodes
+//!
+//! Per touched block: one `read_exact` into a reused buffer, one CRC-32 over
+//! it ([`crc32`] folds 16 bytes per step), then the four columns are read as
+//! little-endian 8-byte words straight out of those checksummed bytes — no
+//! intermediate column copies. Each record is checked (block time range,
+//! finite coordinates, block bbox, strict `(t, object)` order across the
+//! whole load, then the window) and routed through a hash map keyed by
+//! object id to that object's point list. Because the order check makes
+//! every object's timestamps strictly increasing, each list already *is* a
+//! trajectory: it is handed to [`Trajectory::from_points`] (which re-checks
+//! it) without the sort and de-duplication a CSV import needs. The CSV
+//! reader keeps [`trajectory::TrajectoryBuilder`], because CSV rows may be
+//! unsorted and a duplicate row replaces the earlier one.
+//!
 //! Decoding follows the checkpoint discipline: strict total decode, typed
 //! [`ContainerError`]s, never a panic — a truncated, bit-flipped, foreign or
 //! future-version file is rejected, not partially loaded. Writes are atomic
@@ -43,11 +58,15 @@
 // (`crates/datasets/tests/container_corruption.rs`) and clippy:
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use trajectory::{ObjectId, TimeInterval, TrajectoryBuilder, TrajectoryDatabase};
+use trajectory::{ObjectId, TimeInterval, TrajPoint, Trajectory, TrajectoryDatabase};
+
+/// IEEE CRC-32, the checksum each block trailer stores (the workspace's one
+/// implementation, shared with the stream checkpoint).
+pub use trajectory::crc32;
 
 /// The container file's magic bytes (≠ the checkpoint's `CONVOYCK`).
 pub const MAGIC: [u8; 8] = *b"CONVOYTR";
@@ -131,41 +150,6 @@ fn map_eof_to_truncated(e: std::io::Error) -> ContainerError {
     } else {
         ContainerError::Io(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE, same polynomial and table construction as the stream
-// checkpoint — kept local so `traj-datasets` does not depend on
-// `convoy-stream`).
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c; // lint: allow(no-panic-decode) — const loop, i < 256 == table.len()
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 of `bytes` (the checksum each block trailer stores).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint: allow(no-panic-decode) — index masked to 0..=255, table length 256
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +299,7 @@ impl ReadStats {
     }
 }
 
-/// Bounded decoder over one block's bytes — the checkpoint `Dec` idiom:
+/// Bounded decoder over header bytes — the checkpoint `Dec` idiom:
 /// every read is bounds-checked, corrupt input surfaces as an error, never
 /// a panic.
 struct Dec<'a> {
@@ -397,19 +381,15 @@ fn decode_block_header(header: &[u8], offset: u64) -> Result<BlockMeta, Containe
 ///
 /// Opening validates the file header and walks the per-block headers
 /// (seeking over payloads) into an in-memory index; nothing else is read
-/// until a load asks for it. Loads decode touched blocks through **reused**
-/// scratch buffers — one byte buffer, four column buffers — so a warmed
-/// reader performs no per-point allocation on the decode path.
+/// until a load asks for it. Loads read each touched block into one
+/// **reused** byte buffer and decode its columns in place, so a warmed
+/// reader allocates nothing per block; the only per-point allocation is the
+/// loaded trajectories themselves.
 pub struct ContainerReader<R: Read + Seek> {
     reader: R,
     index: Vec<BlockMeta>,
     /// Reused raw-byte buffer, sized to the largest block read so far.
     block_buf: Vec<u8>,
-    /// Reused column buffers for one block's decoded payload.
-    ids: Vec<u64>,
-    ts: Vec<i64>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
 }
 
 impl ContainerReader<std::io::BufReader<File>> {
@@ -489,10 +469,6 @@ impl<R: Read + Seek> ContainerReader<R> {
             reader,
             index,
             block_buf: Vec::new(),
-            ids: Vec::new(),
-            ts: Vec::new(),
-            xs: Vec::new(),
-            ys: Vec::new(),
         })
     }
 
@@ -528,7 +504,10 @@ impl<R: Read + Seek> ContainerReader<R> {
         &mut self,
         window: Option<TimeInterval>,
     ) -> Result<(TrajectoryDatabase, ReadStats), ContainerError> {
-        let mut builders: BTreeMap<ObjectId, TrajectoryBuilder> = BTreeMap::new();
+        // Each record is routed through a hash of its id to its object's
+        // point list; the default `RandomState` keeps a hostile id set from
+        // degrading the map.
+        let mut objects: HashMap<u64, Vec<TrajPoint>> = HashMap::new();
         let mut stats = ReadStats::default();
         // `(t, id)` of the last decoded record, across blocks: the file is
         // globally sorted, so any subset of blocks must decode strictly
@@ -544,17 +523,21 @@ impl<R: Read + Seek> ContainerReader<R> {
                     continue;
                 }
             }
-            self.read_block(bi, &meta)?;
+            let columns = self.read_block(bi, &meta)?;
             stats.blocks_read = stats.blocks_read.saturating_add(1);
             stats.records_read = stats.records_read.saturating_add(meta.records);
             let [min_x, min_y, max_x, max_y] = meta.bbox;
-            for (((&id, &t), &x), &y) in self
+            for (((id, t), x), y) in columns
                 .ids
                 .iter()
-                .zip(self.ts.iter())
-                .zip(self.xs.iter())
-                .zip(self.ys.iter())
+                .zip(columns.ts)
+                .zip(columns.xs)
+                .zip(columns.ys)
             {
+                let id = u64::from_le_bytes(*id);
+                let t = i64::from_le_bytes(*t);
+                let x = f64::from_le_bytes(*x);
+                let y = f64::from_le_bytes(*y);
                 if t < meta.t_min || t > meta.t_max {
                     return Err(ContainerError::Malformed("record outside block time range"));
                 }
@@ -573,24 +556,33 @@ impl<R: Read + Seek> ContainerReader<R> {
                 if window.is_some_and(|w| t < w.start || t > w.end) {
                     continue;
                 }
-                builders.entry(ObjectId(id)).or_default().add(x, y, t);
+                objects.entry(id).or_default().push(TrajPoint::new(x, y, t));
             }
         }
+        // Objects are finished in ascending id order, each copied into an
+        // exactly sized allocation while its growth buffer is freed whole.
+        // Shrinking the buffers in place, or finishing in hash order, leaves
+        // the heap more fragmented: both raised the process's later peak RSS
+        // on taxi×4 (by ~5% and ~0.4%).
+        let mut objects: Vec<(u64, Vec<TrajPoint>)> = objects.into_iter().collect();
+        objects.sort_unstable_by_key(|&(id, _)| id);
         let mut db = TrajectoryDatabase::new();
-        for (id, builder) in builders {
-            // Records are strictly `(t, object)`-ascending, so per-object
-            // timestamps are strictly increasing and `build` cannot fail on
-            // them; map any residual error instead of unwrapping.
-            let traj = builder
-                .build()
+        for (id, points) in objects {
+            // The strict `(t, object)` order above already makes every
+            // object's timestamps strictly increasing, so no sort or de-dup
+            // is needed; `from_points` still validates them, and any residual
+            // error is mapped instead of unwrapped.
+            let traj = Trajectory::from_points(points.to_vec())
                 .map_err(|_| ContainerError::Malformed("block records do not form a trajectory"))?;
-            db.insert(id, traj);
+            db.insert(ObjectId(id), traj);
         }
         Ok((db, stats))
     }
 
-    /// Reads and CRC-checks block `bi` into the reused column buffers.
-    fn read_block(&mut self, bi: usize, meta: &BlockMeta) -> Result<(), ContainerError> {
+    /// Reads and CRC-checks block `bi` into the reused byte buffer and
+    /// returns its four payload columns, borrowed from that buffer as
+    /// little-endian 8-byte words.
+    fn read_block(&mut self, bi: usize, meta: &BlockMeta) -> Result<Columns<'_>, ContainerError> {
         let total = meta.len();
         self.reader.seek(SeekFrom::Start(meta.offset))?;
         self.block_buf.clear();
@@ -599,51 +591,42 @@ impl<R: Read + Seek> ContainerReader<R> {
             .read_exact(&mut self.block_buf)
             .map_err(map_eof_to_truncated)?;
 
-        let body_len = (total - BLOCK_TRAILER_LEN) as usize;
-        let (body, trailer) = self.block_buf.split_at(body_len);
-        let mut stored = [0u8; BLOCK_TRAILER_LEN as usize];
-        for (dst, byte) in stored.iter_mut().zip(trailer) {
-            *dst = *byte;
-        }
-        if crc32(body) != u32::from_le_bytes(stored) {
+        let (body, stored) = self
+            .block_buf
+            .split_last_chunk::<{ BLOCK_TRAILER_LEN as usize }>()
+            .ok_or(ContainerError::Truncated)?;
+        if crc32(body) != u32::from_le_bytes(*stored) {
             return Err(ContainerError::ChecksumMismatch { block: bi });
         }
 
-        let mut d = Dec {
-            bytes: body,
-            pos: 0,
-        };
+        let (header, payload) = body
+            .split_at_checked(BLOCK_HEADER_LEN as usize)
+            .ok_or(ContainerError::Truncated)?;
         // Re-decode the header out of the checksummed bytes and require it
         // to match the index built at open time.
-        if decode_block_header(d.take(BLOCK_HEADER_LEN as usize)?, meta.offset)? != *meta {
+        if decode_block_header(header, meta.offset)? != *meta {
             return Err(ContainerError::Malformed("block header changed since open"));
         }
         let n = meta.records as usize;
-        self.ids.clear();
-        self.ts.clear();
-        self.xs.clear();
-        self.ys.clear();
-        self.ids.reserve(n);
-        self.ts.reserve(n);
-        self.xs.reserve(n);
-        self.ys.reserve(n);
-        for _ in 0..n {
-            self.ids.push(d.u64()?);
-        }
-        for _ in 0..n {
-            self.ts.push(d.i64()?);
-        }
-        for _ in 0..n {
-            self.xs.push(d.f64()?);
-        }
-        for _ in 0..n {
-            self.ys.push(d.f64()?);
-        }
-        if d.pos != body.len() {
+        let (words, tail) = payload.as_chunks::<8>();
+        let (ids, words) = words.split_at_checked(n).ok_or(ContainerError::Truncated)?;
+        let (ts, words) = words.split_at_checked(n).ok_or(ContainerError::Truncated)?;
+        let (xs, words) = words.split_at_checked(n).ok_or(ContainerError::Truncated)?;
+        let (ys, words) = words.split_at_checked(n).ok_or(ContainerError::Truncated)?;
+        if !(words.is_empty() && tail.is_empty()) {
             return Err(ContainerError::Malformed("trailing bytes in block"));
         }
-        Ok(())
+        Ok(Columns { ids, ts, xs, ys })
     }
+}
+
+/// One block's payload columns, each `records` little-endian 8-byte words
+/// borrowed straight from the checksummed block bytes.
+struct Columns<'a> {
+    ids: &'a [[u8; 8]],
+    ts: &'a [[u8; 8]],
+    xs: &'a [[u8; 8]],
+    ys: &'a [[u8; 8]],
 }
 
 #[cfg(test)]
@@ -719,14 +702,115 @@ mod tests {
         let bytes = encode(&dataset.database, 16);
         let mut reader = ContainerReader::open(Cursor::new(&bytes)).unwrap();
         let (first, _) = reader.load().unwrap();
-        let cap = (reader.block_buf.capacity(), reader.ids.capacity());
+        let cap = reader.block_buf.capacity();
         let (second, _) = reader.load().unwrap();
         assert_eq!(first, second);
         assert_eq!(
-            (reader.block_buf.capacity(), reader.ids.capacity()),
+            reader.block_buf.capacity(),
             cap,
-            "warm loads must not regrow the scratch buffers"
+            "warm loads must not regrow the block buffer"
         );
+    }
+
+    /// One hand-built block over `records` `(id, t, x, y)`, written in the
+    /// given order under the given header time range and bbox, with a valid
+    /// CRC — so only the load-time record checks can reject it.
+    fn raw_block(records: &[(u64, i64, f64, f64)], t_range: (i64, i64), bbox: [f64; 4]) -> Vec<u8> {
+        let mut block = Vec::new();
+        block.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        block.extend_from_slice(&t_range.0.to_le_bytes());
+        block.extend_from_slice(&t_range.1.to_le_bytes());
+        for v in bbox {
+            block.extend_from_slice(&v.to_le_bytes());
+        }
+        for &(id, _, _, _) in records {
+            block.extend_from_slice(&id.to_le_bytes());
+        }
+        for &(_, t, _, _) in records {
+            block.extend_from_slice(&t.to_le_bytes());
+        }
+        for &(_, _, x, _) in records {
+            block.extend_from_slice(&x.to_le_bytes());
+        }
+        for &(_, _, _, y) in records {
+            block.extend_from_slice(&y.to_le_bytes());
+        }
+        let crc = crc32(&block);
+        block.extend_from_slice(&crc.to_le_bytes());
+        block
+    }
+
+    /// A container of hand-built `blocks`, loaded in full.
+    fn load_raw(blocks: &[Vec<u8>]) -> Result<(TrajectoryDatabase, ReadStats), ContainerError> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
+        for block in blocks {
+            bytes.extend_from_slice(block);
+        }
+        ContainerReader::open(Cursor::new(bytes))?.load()
+    }
+
+    fn malformed(result: Result<(TrajectoryDatabase, ReadStats), ContainerError>) -> &'static str {
+        match result {
+            Err(ContainerError::Malformed(what)) => what,
+            other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    const UNORDERED: &str = "records not strictly (t, object)-ascending";
+    const UNIT_BOX: [f64; 4] = [0.0, 0.0, 1.0, 1.0];
+
+    #[test]
+    fn hand_built_blocks_with_valid_crcs_load() {
+        // The fixture itself is sound: in order, in range, in the bbox.
+        let block = raw_block(
+            &[(1, 0, 0.0, 0.0), (2, 0, 1.0, 1.0), (1, 1, 0.5, 0.5)],
+            (0, 1),
+            UNIT_BOX,
+        );
+        let (db, stats) = load_raw(&[block]).unwrap();
+        assert_eq!((db.len(), db.total_points()), (2, 3));
+        assert_eq!(
+            stats,
+            ReadStats {
+                blocks_read: 1,
+                records_read: 3
+            }
+        );
+    }
+
+    #[test]
+    fn duplicate_object_sample_is_rejected() {
+        let block = raw_block(&[(1, 0, 0.0, 0.0), (1, 0, 1.0, 1.0)], (0, 0), UNIT_BOX);
+        assert_eq!(malformed(load_raw(&[block])), UNORDERED);
+        // The same duplicate split across two blocks (equal block time
+        // ranges pass the open-time index check).
+        let first = raw_block(&[(1, 0, 0.0, 0.0)], (0, 0), UNIT_BOX);
+        let second = raw_block(&[(1, 0, 1.0, 1.0)], (0, 0), UNIT_BOX);
+        assert_eq!(malformed(load_raw(&[first, second])), UNORDERED);
+    }
+
+    #[test]
+    fn descending_ids_within_a_tick_are_rejected() {
+        let block = raw_block(&[(2, 0, 0.0, 0.0), (1, 0, 1.0, 1.0)], (0, 0), UNIT_BOX);
+        assert_eq!(malformed(load_raw(&[block])), UNORDERED);
+    }
+
+    #[test]
+    fn record_outside_its_block_time_range_is_rejected() {
+        let block = raw_block(&[(1, 0, 0.0, 0.0), (1, 6, 1.0, 1.0)], (0, 5), UNIT_BOX);
+        assert_eq!(
+            malformed(load_raw(&[block])),
+            "record outside block time range"
+        );
+    }
+
+    #[test]
+    fn record_outside_its_block_bbox_is_rejected() {
+        let block = raw_block(&[(1, 0, 0.0, 0.0), (2, 0, 2.0, 0.5)], (0, 0), UNIT_BOX);
+        assert_eq!(malformed(load_raw(&[block])), "record outside block bbox");
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl TrajectorySource for CsvSource {
 
 /// The `.convoy` backend: block-indexed, so windowed loads read only the
 /// blocks whose time range intersects the window, and repeated loads reuse
-/// the reader's decode buffers.
+/// the reader's block buffer.
 pub struct ContainerSource {
     path: PathBuf,
     reader: ContainerReader<std::io::BufReader<File>>,

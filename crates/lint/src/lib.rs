@@ -80,6 +80,7 @@ fn rules_for(rel: &str) -> Vec<fn(&FileAnalysis) -> Vec<RawFinding>> {
     if rel == "crates/stream/src/checkpoint.rs"
         || rel == "crates/datasets/src/io.rs"
         || rel == "crates/datasets/src/container.rs"
+        || rel == "crates/trajectory/src/crc32.rs"
     {
         active.push(rules::no_panic_decode);
     }

@@ -7,7 +7,7 @@
 //! | rule | guards | scope |
 //! |---|---|---|
 //! | `checked-time-arithmetic` | bare `+`/`-`/`*`/`+=`/`-=`/`*=` on tick- or nanosecond-named values | `core`, `stream`, `trajectory`, `obs` |
-//! | `no-panic-decode` | unwrap/expect/panic!/indexing on untrusted bytes | checkpoint decode + CSV parse |
+//! | `no-panic-decode` | unwrap/expect/panic!/indexing on untrusted bytes | checkpoint + container decode, CSV parse, CRC-32 |
 //! | `no-alloc-hot-path` | allocation constructors in marked hot regions | whole workspace |
 //! | `no-unwrap-in-lib` | `.unwrap()`/`.expect()` outside tests | library crates |
 //! | `cast-audit` | lossy `as` casts to narrow numeric types | `core`, `clustering`, `stream` |

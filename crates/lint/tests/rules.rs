@@ -176,6 +176,11 @@ fn panic_decode_only_runs_on_the_decode_files() {
         lines_of("crates/datasets/src/container.rs", src, "no-panic-decode"),
         vec![1]
     );
+    // So is the CRC-32 both decoders run over every byte they read.
+    assert_eq!(
+        lines_of("crates/trajectory/src/crc32.rs", src, "no-panic-decode"),
+        vec![1]
+    );
 }
 
 #[test]

@@ -126,40 +126,9 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the polynomial zlib and PNG use), table built at
-// compile time so the hot path is one lookup per byte.
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        // lint: allow(cast-audit) — i < 256, fits u32 exactly
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c; // lint: allow(no-panic-decode) — const loop, i < 256 == table.len()
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 of `bytes` (the checksum the checkpoint trailer stores).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint: allow(no-panic-decode) — index masked to 0..=255, table length 256
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// IEEE CRC-32, the checksum the checkpoint trailer stores (the workspace's
+/// one implementation, shared with the `.convoy` container).
+pub use trajectory::crc32;
 
 // ---------------------------------------------------------------------------
 // Encoder

@@ -46,6 +46,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod builder;
+mod crc32;
 pub mod database;
 pub mod error;
 pub mod feed;
@@ -58,6 +59,7 @@ pub mod time;
 pub mod trajectory;
 
 pub use builder::TrajectoryBuilder;
+pub use crc32::crc32;
 pub use database::{ObjectId, Snapshot, SnapshotEntry, SnapshotPolicy, TrajectoryDatabase};
 pub use error::{Result, TrajectoryError};
 pub use feed::{FeedError, FeedValidator, FeedValidatorSnapshot};
