@@ -5,7 +5,7 @@
 use crate::args::{ArgError, ParsedArgs};
 use convoy_core::{
     compare_result_sets, mc2, publish_discovery, publish_stage_timings, CmcEngine, ConvoyQuery,
-    CutsConfig, CutsVariant, Discovery, Mc2Config, Method, QueryError,
+    CutsConfig, CutsVariant, Discovery, LambdaError, Mc2Config, Method, QueryError,
 };
 use convoy_obs::{export, Obs, Registry};
 use convoy_stream::{
@@ -430,6 +430,11 @@ fn parse_window(args: &ParsedArgs) -> Result<Option<TimeInterval>, CommandError>
     Ok(Some(TimeInterval::new(start, end)))
 }
 
+/// The command error for a `--lambda` the CuTS configuration rejects.
+fn lambda_error(e: LambdaError) -> CommandError {
+    CommandError(format!("invalid --lambda: {e}"))
+}
+
 /// `convoy discover`: run a convoy query on a CSV.
 pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
     args.reject_unknown(&[
@@ -473,11 +478,13 @@ pub fn discover_command(args: &ParsedArgs) -> Result<String, CommandError> {
         );
     }
     if let Some(lambda) = args.get("lambda") {
-        config = config.with_lambda(
-            lambda
-                .parse()
-                .map_err(|_| CommandError(format!("cannot parse --lambda value `{lambda}`")))?,
-        );
+        config = config
+            .try_with_lambda(
+                lambda
+                    .parse()
+                    .map_err(|_| CommandError(format!("cannot parse --lambda value `{lambda}`")))?,
+            )
+            .map_err(lambda_error)?;
     }
     if args.has_flag("global-tolerance") {
         config = config.with_tolerance_mode(ToleranceMode::Global);
@@ -682,7 +689,9 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
                         .into(),
                 ));
             };
-            let config = StreamConfig::new(query, delta, lambda).with_variant(variant);
+            let config = StreamConfig::try_new(query, delta, lambda)
+                .map_err(lambda_error)?
+                .with_variant(variant);
             (config, None)
         } else {
             // Same δ/λ derivation and feed order as `ReplayStream` — the
@@ -694,7 +703,7 @@ pub fn stream_command(args: &ParsedArgs) -> Result<String, CommandError> {
                 cuts = cuts.with_delta(delta);
             }
             if let Some(lambda) = lambda_arg {
-                cuts = cuts.with_lambda(lambda);
+                cuts = cuts.try_with_lambda(lambda).map_err(lambda_error)?;
             }
             (
                 replay_config(&cuts, &db, &query),

@@ -346,6 +346,60 @@ fn stream_validates_its_arguments() {
         .stderr_contains("--horizon");
 }
 
+#[test]
+fn lambda_below_two_or_past_the_time_axis_is_rejected() {
+    let path = temp_path("lambda-bounds.csv");
+    let mut csv = String::from("object_id,t,x,y\n");
+    for t in 0..12 {
+        csv.push_str(&format!("1,{t},{t}.0,0.0\n2,{t},{t}.0,0.5\n"));
+    }
+    std::fs::write(&path, &csv).unwrap();
+    let path = path.to_str().unwrap();
+    let query = ["--m", "2", "--k", "4", "--e", "1"];
+    for bad in ["0", "1", "9223372036854775808", "18446744073709551615"] {
+        convoy()
+            .args(["discover", path])
+            .args(query)
+            .args(["--lambda", bad])
+            .assert()
+            .failure()
+            .code(1)
+            .stderr_contains("invalid --lambda");
+        convoy()
+            .args(["stream", path])
+            .args(query)
+            .args(["--lambda", bad])
+            .assert()
+            .failure()
+            .code(1)
+            .stderr_contains("invalid --lambda");
+        convoy()
+            .args(["stream", "-"])
+            .args(query)
+            .args(["--delta", "0.2", "--lambda", bad])
+            .write_stdin(csv.clone())
+            .assert()
+            .failure()
+            .code(1)
+            .stderr_contains("invalid --lambda");
+    }
+    // The smallest valid λ is reported as the λ the run partitioned with.
+    convoy()
+        .args(["discover", path])
+        .args(query)
+        .args(["--lambda", "2"])
+        .assert()
+        .success()
+        .stdout_contains("λ=2,");
+    convoy()
+        .args(["stream", path])
+        .args(query)
+        .args(["--lambda", "2"])
+        .assert()
+        .success()
+        .stdout_contains("λ=2)");
+}
+
 /// A stdin feed with a convoy that confirms mid-feed: a pair travels
 /// together for t=0..=9, separates for t=10..=29 (closing the convoy well
 /// before EOF), then one out-of-order straggler arrives as the final line.

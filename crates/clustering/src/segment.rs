@@ -290,6 +290,9 @@ pub struct SubTrajectoryCounters {
     pub lemma2_prunes: u64,
     /// Exact ω evaluations (candidates surviving both pre-filters).
     pub omega_evaluations: u64,
+    /// Segment pairs those ω evaluations scanned: `|a| · |b|` per
+    /// evaluation, the real cost of [`omega_distance`].
+    pub segment_pairs: u64,
 }
 
 /// One partition's neighbourhood relation, built from reused buffers.
@@ -551,6 +554,8 @@ impl SubTrajectoryIndex {
             }
             // Lemma 1 / Lemma 3: exact ω computation over segment pairs.
             self.counters.omega_evaluations += 1;
+            self.counters.segment_pairs +=
+                (items[a].segments.len() * items[b].segments.len()) as u64;
             if omega_distance(&items[a], &items[b], distance, mode) <= epsilon {
                 self.links.push((a, b));
             }

@@ -59,6 +59,8 @@ pub struct FilterStats {
     pub lemma2_prunes: u64,
     /// Exact ω evaluations (Lemma 1 / Lemma 3).
     pub omega_evaluations: u64,
+    /// Segment pairs the ω evaluations scanned (ω is `O(|a| · |b|)`).
+    pub segment_pairs: u64,
 }
 
 impl FilterStats {
@@ -71,6 +73,7 @@ impl FilterStats {
             ("cuts.temporal_prunes", self.temporal_prunes),
             ("cuts.lemma2_prunes", self.lemma2_prunes),
             ("cuts.omega_evaluations", self.omega_evaluations),
+            ("cuts.segment_pairs", self.segment_pairs),
         ] {
             obs.counter_add(name, value);
         }
@@ -117,7 +120,7 @@ pub fn filter_simplified(
 
     let lambda = config
         .lambda
-        .unwrap_or_else(|| auto_lambda(simplified.iter().map(|(_, s)| s), query.k));
+        .unwrap_or_else(|| auto_lambda(simplified, query, config).lambda);
 
     let Some(domain) = db.time_domain() else {
         return FilterOutput {
@@ -174,6 +177,7 @@ pub fn filter_simplified(
         temporal_prunes: counters.temporal_prunes,
         lemma2_prunes: counters.lemma2_prunes,
         omega_evaluations: counters.omega_evaluations,
+        segment_pairs: counters.segment_pairs,
     };
     FilterOutput {
         candidates: chain.finish(),

@@ -71,6 +71,41 @@ impl std::fmt::Display for CutsVariant {
     }
 }
 
+/// The largest partition length λ: partition windows live on the `i64`
+/// time axis, so λ must fit it.
+pub const MAX_LAMBDA: usize = i64::MAX as usize;
+
+/// Why a partition length λ was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LambdaError {
+    /// λ < 2: a partition must span at least one segment of time.
+    TooShort(usize),
+    /// λ > [`MAX_LAMBDA`]: the partition does not fit the time axis.
+    TooLong(usize),
+}
+
+impl std::fmt::Display for LambdaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LambdaError::TooShort(l) => write!(f, "λ must be at least 2, got {l}"),
+            LambdaError::TooLong(l) => write!(f, "λ must be at most {MAX_LAMBDA}, got {l}"),
+        }
+    }
+}
+
+impl std::error::Error for LambdaError {}
+
+/// Returns `lambda` when it is a valid partition length (`2..=`[`MAX_LAMBDA`]).
+pub fn check_lambda(lambda: usize) -> Result<usize, LambdaError> {
+    if lambda < 2 {
+        Err(LambdaError::TooShort(lambda))
+    } else if lambda > MAX_LAMBDA {
+        Err(LambdaError::TooLong(lambda))
+    } else {
+        Ok(lambda)
+    }
+}
+
 /// Tuning knobs of the CuTS filter step. None of these affect correctness —
 /// only the filter's selectivity and therefore the running time (Section 7.4).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,8 +115,8 @@ pub struct CutsConfig {
     /// Simplification tolerance δ. `None` selects it automatically with the
     /// Section 7.4 guideline ([`crate::params::auto_delta`]).
     pub delta: Option<f64>,
-    /// Time-partition length λ. `None` selects it automatically with the
-    /// Section 7.4 guideline ([`crate::params::auto_lambda`]).
+    /// Time-partition length λ. `None` selects it automatically by
+    /// estimated filter + refine cost ([`crate::params::auto_lambda`]).
     pub lambda: Option<usize>,
     /// Whether range searches use each segment's actual tolerance (the
     /// paper's recommended setting) or the global δ (Figure 14's comparison
@@ -108,11 +143,29 @@ impl CutsConfig {
         self
     }
 
-    /// Overrides the partition length λ.
+    /// Overrides the partition length λ, clamped into
+    /// `2..=`[`MAX_LAMBDA`] so the reported λ is the one the filter
+    /// partitions with. Untrusted values go through
+    /// [`CutsConfig::try_with_lambda`] instead.
     #[must_use]
     pub fn with_lambda(mut self, lambda: usize) -> Self {
-        self.lambda = Some(lambda);
+        self.lambda = Some(lambda.clamp(2, MAX_LAMBDA));
         self
+    }
+
+    /// Overrides the partition length λ, rejecting a λ below 2 or above
+    /// [`MAX_LAMBDA`].
+    ///
+    /// ```
+    /// use convoy_core::cuts::{CutsConfig, CutsVariant, LambdaError};
+    ///
+    /// let config = CutsConfig::new(CutsVariant::CutsStar);
+    /// assert_eq!(config.try_with_lambda(8).unwrap().lambda, Some(8));
+    /// assert_eq!(config.try_with_lambda(1), Err(LambdaError::TooShort(1)));
+    /// assert!(config.try_with_lambda(usize::MAX).is_err());
+    /// ```
+    pub fn try_with_lambda(self, lambda: usize) -> Result<Self, LambdaError> {
+        Ok(self.with_lambda(check_lambda(lambda)?))
     }
 
     /// Selects the tolerance mode used by the filter's range searches.
@@ -164,5 +217,24 @@ mod tests {
         assert_eq!(default.delta, None);
         assert_eq!(default.lambda, None);
         assert_eq!(default.tolerance_mode, ToleranceMode::Actual);
+    }
+
+    #[test]
+    fn lambda_is_validated_or_clamped_to_what_partitions() {
+        let config = CutsConfig::new(CutsVariant::Cuts);
+        for bad in [0, 1] {
+            assert_eq!(config.try_with_lambda(bad), Err(LambdaError::TooShort(bad)));
+            assert_eq!(config.with_lambda(bad).lambda, Some(2));
+        }
+        assert_eq!(
+            config.try_with_lambda(usize::MAX),
+            Err(LambdaError::TooLong(usize::MAX))
+        );
+        assert_eq!(config.with_lambda(usize::MAX).lambda, Some(MAX_LAMBDA));
+        assert_eq!(
+            config.try_with_lambda(MAX_LAMBDA).unwrap().lambda,
+            Some(MAX_LAMBDA)
+        );
+        assert_eq!(config.try_with_lambda(2).unwrap().lambda, Some(2));
     }
 }

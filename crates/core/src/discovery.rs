@@ -7,7 +7,7 @@ use crate::cuts::refine::refine_partitions_obs;
 use crate::cuts::{CutsConfig, CutsVariant};
 use crate::engine::CmcEngine;
 use crate::metrics::{refinement_unit, DiscoveryStats, StageTimings};
-use crate::params::auto_delta;
+use crate::params::{auto_delta, auto_lambda};
 use crate::query::{normalize_convoys, Convoy, ConvoyQuery};
 use convoy_obs::{Obs, SpanId};
 use serde::{Deserialize, Serialize};
@@ -103,7 +103,10 @@ impl Discovery {
     /// / `discover.refine` for the CuTS family, the engine's span tree for
     /// CMC) plus the `cmc.*` / `cluster.*` metrics of whatever fold executes
     /// and, for the CuTS family, the filter's `cuts.*` work counters
-    /// ([`crate::cuts::filter::FilterStats`]).
+    /// ([`crate::cuts::filter::FilterStats`]). An automatic λ choice gets
+    /// its own `discover.lambda` span inside `discover.filter` and the
+    /// `cuts.lambda_seed` / `cuts.lambda_probes` counters
+    /// ([`crate::params::LambdaChoice`]).
     /// The default is the no-op recorder.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
@@ -194,19 +197,27 @@ impl Discovery {
                 }
             }
             Method::Cuts | Method::CutsPlus | Method::CutsStar => {
-                // Stage 1: simplification.
-                let delta = self.config.delta.unwrap_or_else(|| auto_delta(db, query.e));
+                // Stage 1: simplification, δ selection included.
                 let simplify_span = self.obs.span_start("discover.simplify", root);
                 let simplify_started = Instant::now();
+                let delta = self.config.delta.unwrap_or_else(|| auto_delta(db, query.e));
                 let simplified = simplify_database(db, &self.config, delta);
                 let simplification = simplify_started.elapsed();
                 self.obs.span_end(simplify_span);
 
                 // Stage 2: filter (partitioned clustering of simplified
-                // sub-trajectories).
+                // sub-trajectories), λ selection included in its own span.
                 let filter_span = self.obs.span_start("discover.filter", root);
                 let filter_started = Instant::now();
-                let output = filter_simplified(&simplified, db, query, &self.config, delta);
+                let mut config = self.config;
+                if config.lambda.is_none() {
+                    let lambda_span = self.obs.span_start("discover.lambda", filter_span);
+                    let choice = auto_lambda(&simplified, query, &config);
+                    choice.record(&self.obs);
+                    config.lambda = Some(choice.lambda);
+                    self.obs.span_end(lambda_span);
+                }
+                let output = filter_simplified(&simplified, db, query, &config, delta);
                 let filter_time = filter_started.elapsed();
                 output.stats.record(&self.obs);
                 self.obs.span_end(filter_span);

@@ -68,7 +68,7 @@ pub use cuts::partition::{
 pub use cuts::refine::{
     refine_partitions, CoverageSnapshots, FoldOutcome, RefineFold, RefineFoldSnapshot,
 };
-pub use cuts::{CutsConfig, CutsVariant};
+pub use cuts::{check_lambda, CutsConfig, CutsVariant, LambdaError, MAX_LAMBDA};
 pub use discovery::{Discovery, DiscoveryOutcome, Method};
 pub use engine::{CmcEngine, CmcState, CmcStateSnapshot, CmcStats};
 pub use mc2::{mc2, Mc2Config};
@@ -76,7 +76,7 @@ pub use metrics::{
     duration_ns, fold_stats_from_snapshot, publish_discovery, publish_fold_stats,
     publish_stage_timings, refinement_unit, DiscoveryStats, StageTimings,
 };
-pub use params::{auto_delta, auto_lambda};
+pub use params::{auto_delta, auto_lambda, LambdaChoice};
 pub use query::{
     compare_result_sets, normalize_convoys, AccuracyReport, Convoy, ConvoyQuery, QueryError,
 };

@@ -35,6 +35,8 @@
 //! | `discover.refinement_units` | counter | Fig. 17 — refinement-unit cost |
 //! | `cuts.partitions` / `sub_trajectories` | counter | CuTS filter input (Alg. 2, lines 9–10) |
 //! | `cuts.grid_candidates` / `temporal_prunes` / `lemma2_prunes` / `omega_evaluations` | counter | what the grid, the temporal test and Lemma 2 pruned before ω (Lemmas 1–3) |
+//! | `cuts.segment_pairs` | counter | segment pairs the ω evaluations scanned (ω is `O(|a|·|b|)`) |
+//! | `cuts.lambda_seed` / `lambda_probes` | counter | Section 7.4 — the guideline λ the cost-based chooser started from, and the candidates it costed |
 //! | `refine.positions` | counter | positions the refinement fold materialised: only the filter's coverage (Alg. 3 touches what survived the filter) |
 //! | `discover.convoys` | counter | result cardinality |
 //! | `cmc.ticks_ingested`, `cmc.clusters_per_tick` | counter / histogram | CMC fold progress (Alg. 1) |

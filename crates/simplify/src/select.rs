@@ -3,7 +3,8 @@
 //!
 //! Neither parameter affects the *correctness* of convoy discovery — only its
 //! running time — so the guidelines here aim for "reasonable" rather than
-//! optimal values, exactly as the paper does.
+//! optimal values, exactly as the paper does. The λ guideline is only the
+//! seed of the cost-based chooser in `convoy_core::params`.
 
 use crate::simplified::SimplifiedTrajectory;
 use serde::{Deserialize, Serialize};
@@ -129,14 +130,16 @@ pub fn select_delta_for_database(db: &TrajectoryDatabase, e: f64, sample_fractio
     }
 }
 
-/// The Section 7.4 guideline for the time-partition length λ.
+/// The Section 7.4 guideline for the time-partition length λ — the **seed**
+/// of the cost-based λ chooser (`convoy_core::auto_lambda`), which tries
+/// this value doubled while the estimated filter + refine cost keeps
+/// falling. On its own it is only a starting point: on sparse data it is
+/// short, and the chooser typically moves well past it.
 ///
-/// The underlying intuition: the natural partition length λ₁ for an object is
-/// the average number of original time points covered by one simplified
-/// segment (the reduction factor of the simplification). That value is then
-/// discounted by the object's *missing-sample* probability, because partitions
-/// longer than the typical gap between shared samples weaken the filter. We
-/// compute, per object,
+/// The natural partition length λ₁ for an object is the average number of
+/// original time points covered by one simplified segment (the reduction
+/// factor of the simplification), discounted by the object's
+/// *missing-sample* probability. Per object:
 ///
 /// ```text
 /// λ₁(o)  = |o| / max(1, |o′| - 1)             (samples per simplified segment)
@@ -144,14 +147,14 @@ pub fn select_delta_for_database(db: &TrajectoryDatabase, e: f64, sample_fractio
 /// λ(o)   = λ₁(o) - (λ₁(o) - 2) · miss(o)      (discount, never below 2)
 /// ```
 ///
-/// and average λ(o) over all objects, clamping the result to `[2, k]` — a
-/// partition longer than the convoy lifetime k can never help the filter.
+/// averaged over all objects and clamped to `[2, k]` — a partition longer
+/// than the convoy lifetime k can never help the filter.
 ///
-/// (The paper's closed-form expression is stated slightly differently but its
-/// own Table 3 values do not satisfy it; this implementation follows the
-/// stated *intent* — dense, long trajectories get long partitions, sparsely
-/// sampled ones get short partitions — and reproduces the relative ordering of
-/// the paper's chosen λ values across the four dataset profiles.)
+/// (The paper's closed-form expression is stated slightly differently and
+/// its own Table 3 values do not satisfy it; this follows the stated
+/// intent — dense, long trajectories get long partitions, sparsely sampled
+/// ones short partitions — and reproduces the relative ordering of the
+/// paper's λ values across the four dataset profiles.)
 pub fn select_lambda<'a, I>(simplified: I, k: usize) -> usize
 where
     I: IntoIterator<Item = &'a SimplifiedTrajectory>,

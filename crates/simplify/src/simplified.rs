@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use trajectory::geometry::segment::{Segment, TimedSegment};
 use trajectory::geometry::{BoundingBox, Point};
-use trajectory::{TimeInterval, TimePoint, TrajPoint, Trajectory};
+use trajectory::{gallop, TimeInterval, TimePoint, TrajPoint, Trajectory};
 
 /// How the actual tolerance `δ(l′)` of a segment is measured.
 ///
@@ -238,20 +238,22 @@ impl SimplifiedTrajectory {
     ///
     /// Segments are stored in time order and consecutive segments share their
     /// boundary timestamp, so the matching segments form a contiguous range
-    /// that two binary searches locate in `O(log |segments|)`. The search
-    /// starts at segment `*from` and leaves it on the first segment that does
-    /// not end before `window.start`: the CuTS filter, which asks once per
-    /// object per time partition over ascending windows, keeps one such
-    /// cursor per object; a one-shot caller passes `&mut 0`.
+    /// that two galloping searches ([`trajectory::gallop`]) locate in
+    /// `O(log d)`, `d` the distance from the start. The search starts at
+    /// segment `*from` and leaves it on the first segment that does not end
+    /// before `window.start`: the CuTS filter, which asks once per object
+    /// per time partition over ascending windows, keeps one such cursor per
+    /// object, so each search starts next to its answer; a one-shot caller
+    /// passes `&mut 0`.
     pub fn segments_intersecting(
         &self,
         window: TimeInterval,
         from: &mut usize,
     ) -> &[SimplifiedSegment] {
         let rest = self.segments.get(*from..).unwrap_or_default();
-        *from += rest.partition_point(|s| s.interval().end < window.start);
+        *from += gallop(rest, |s| s.interval().end < window.start);
         let rest = self.segments.get(*from..).unwrap_or_default();
-        &rest[..rest.partition_point(|s| s.interval().start <= window.end)]
+        &rest[..gallop(rest, |s| s.interval().start <= window.end)]
     }
 
     /// Spatial bounding box of the retained samples.

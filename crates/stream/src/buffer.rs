@@ -10,14 +10,24 @@
 //! * **Refinement**: where is the object at tick `t` — exactly the virtual-
 //!   point semantics of [`trajectory::Trajectory::location_at`], except that
 //!   gaps beyond the horizon are not interpolated?
+//!
+//! A buffer can hold a horizon's worth of samples, because partition closes
+//! lag the watermark, while every question is about the window being closed
+//! — the front of the buffer. So indices are found by galloping from the
+//! front (`O(log λ)`, not `O(log buffer)`), and trimming advances a head
+//! offset, compacting only once the dead prefix outgrows the live samples:
+//! a partition close costs `O(window)`, not `O(buffer)`.
 
-use trajectory::{Point, TimePoint, TrajPoint};
+use trajectory::{gallop, Point, TimePoint, TrajPoint};
 
 /// One object's buffered samples, time-sorted and duplicate-free (the feed
 /// validator guarantees both).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ObjectBuffer {
+    /// `samples[head..]` are live; the prefix is trimmed and awaits
+    /// compaction.
     samples: Vec<TrajPoint>,
+    head: usize,
 }
 
 /// Returns `true` when interpolation may bridge the gap between two
@@ -40,7 +50,7 @@ pub(crate) fn bridgeable(before: TimePoint, after: TimePoint, horizon: Option<Ti
 impl ObjectBuffer {
     /// The buffered samples, oldest first (checkpoint export).
     pub fn samples(&self) -> &[TrajPoint] {
-        &self.samples
+        &self.samples[self.head..]
     }
 
     /// Rebuilds a buffer from checkpointed samples. Returns `None` unless the
@@ -50,7 +60,7 @@ impl ObjectBuffer {
         if samples.is_empty() || samples.windows(2).any(|w| w[0].t >= w[1].t) {
             return None;
         }
-        Some(ObjectBuffer { samples })
+        Some(ObjectBuffer { samples, head: 0 })
     }
 
     /// Appends a sample (the validator has already enforced feed order).
@@ -61,7 +71,7 @@ impl ObjectBuffer {
 
     /// Number of buffered samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.samples.len() - self.head
     }
 
     /// Timestamp of the newest buffered sample. A buffer always holds at
@@ -86,13 +96,11 @@ impl ObjectBuffer {
         horizon: Option<TimePoint>,
     ) -> Vec<&[TrajPoint]> {
         // Bracket indices: [i0, i1] inclusive.
-        let i0 = self
-            .samples
-            .partition_point(|p| p.t <= start)
-            .saturating_sub(1);
-        let after_end = self.samples.partition_point(|p| p.t < end);
-        let i1 = after_end.min(self.samples.len() - 1);
-        let window = &self.samples[i0..=i1];
+        let samples = self.samples();
+        let i0 = gallop(samples, |p| p.t <= start).saturating_sub(1);
+        let after_end = i0 + gallop(&samples[i0..], |p| p.t < end);
+        let i1 = after_end.min(samples.len() - 1);
+        let window = &samples[i0..=i1];
         if window.is_empty() {
             return Vec::new();
         }
@@ -117,20 +125,17 @@ impl ObjectBuffer {
     /// [`trajectory::Trajectory::location_at`] whenever the bracketing
     /// samples are buffered and the gap bridges.
     pub fn position_at(&self, t: TimePoint, horizon: Option<TimePoint>) -> Option<(Point, bool)> {
-        match self.samples.binary_search_by_key(&t, |p| p.t) {
-            Ok(i) => Some((self.samples[i].position(), false)),
-            Err(i) => {
-                if i == 0 || i == self.samples.len() {
-                    return None;
-                }
-                let before = &self.samples[i - 1];
-                let after = &self.samples[i];
-                if !bridgeable(before.t, after.t, horizon) {
-                    return None;
-                }
-                Some((TrajPoint::interpolate(before, after, t), true))
-            }
+        let samples = self.samples();
+        let i = gallop(samples, |p| p.t < t);
+        let after = samples.get(i)?;
+        if after.t == t {
+            return Some((after.position(), false));
         }
+        let before = &samples[i.checked_sub(1)?];
+        if !bridgeable(before.t, after.t, horizon) {
+            return None;
+        }
+        Some((TrajPoint::interpolate(before, after, t), true))
     }
 
     /// Drops samples no longer needed once the refinement fold has passed
@@ -138,17 +143,23 @@ impl ObjectBuffer {
     /// `cursor` (which stays, as the interpolation bracket for later ticks).
     /// Returns the number of samples dropped.
     pub fn trim_before(&mut self, cursor: TimePoint) -> usize {
-        let keep_from = self
-            .samples
-            .partition_point(|p| p.t <= cursor)
-            .saturating_sub(1);
-        self.samples.drain(..keep_from).count()
+        let dropped = gallop(self.samples(), |p| p.t <= cursor).saturating_sub(1);
+        self.head += dropped;
+        // Compact once the dead prefix outgrows the live samples: a
+        // compaction moves fewer live samples than it frees dead ones, so
+        // trimming costs O(1) amortised per dropped sample.
+        if self.head > self.len() {
+            self.samples.drain(..self.head);
+            self.head = 0;
+        }
+        dropped
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn buffer(times: &[i64]) -> ObjectBuffer {
         let mut b = ObjectBuffer::default();
@@ -252,5 +263,122 @@ mod tests {
         );
         assert_eq!(b.trim_before(0), 0, "nothing older than the first sample");
         assert_eq!(b.last_t(), 9);
+    }
+
+    /// The binary-search versions of the buffer queries over a plain
+    /// sample vector, as the buffer computed them before it galloped.
+    mod reference {
+        use super::*;
+
+        pub fn runs(
+            samples: &[TrajPoint],
+            start: TimePoint,
+            end: TimePoint,
+            horizon: Option<TimePoint>,
+        ) -> Vec<Vec<TrajPoint>> {
+            let i0 = samples.partition_point(|p| p.t <= start).saturating_sub(1);
+            let i1 = samples
+                .partition_point(|p| p.t < end)
+                .min(samples.len() - 1);
+            let window = &samples[i0..=i1];
+            let mut runs = Vec::new();
+            let mut run_start = 0;
+            for i in 1..window.len() {
+                if !bridgeable(window[i - 1].t, window[i].t, horizon) {
+                    runs.push(window[run_start..i].to_vec());
+                    run_start = i;
+                }
+            }
+            runs.push(window[run_start..].to_vec());
+            runs
+        }
+
+        pub fn position(
+            samples: &[TrajPoint],
+            t: TimePoint,
+            horizon: Option<TimePoint>,
+        ) -> Option<(Point, bool)> {
+            match samples.binary_search_by_key(&t, |p| p.t) {
+                Ok(i) => Some((samples[i].position(), false)),
+                Err(i) if i == 0 || i == samples.len() => None,
+                Err(i) => bridgeable(samples[i - 1].t, samples[i].t, horizon).then(|| {
+                    (
+                        TrajPoint::interpolate(&samples[i - 1], &samples[i], t),
+                        true,
+                    )
+                }),
+            }
+        }
+
+        pub fn trim(samples: &mut Vec<TrajPoint>, cursor: TimePoint) -> usize {
+            let keep_from = samples.partition_point(|p| p.t <= cursor).saturating_sub(1);
+            samples.drain(..keep_from).count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Galloping from the front and head-offset trimming answer exactly
+        /// what the whole-buffer binary searches did, through long
+        /// push / trim sequences that exercise the compaction.
+        #[test]
+        fn galloping_buffer_matches_binary_search(
+            first in -50i64..50,
+            steps in proptest::collection::vec(
+                (0u8..3, (-5i64..80, 0i64..30), proptest::collection::vec(1i64..12, 1..40)),
+                1..120,
+            ),
+            horizon in 0i64..11,
+        ) {
+            // Each step pushes samples `gap` ticks apart, trims at an
+            // offset from the front, or queries a window and its ticks.
+            let horizon = (horizon < 10).then_some(horizon);
+            let mut buffer = ObjectBuffer::default();
+            let mut model = Vec::new();
+            let mut next_t = first;
+            let push = |buffer: &mut ObjectBuffer, model: &mut Vec<TrajPoint>, t: i64| {
+                let p = TrajPoint::new(t as f64 * 0.5, (t % 7) as f64, t);
+                buffer.push(p);
+                model.push(p);
+            };
+            push(&mut buffer, &mut model, next_t);
+            for (kind, (offset, len), gaps) in steps {
+                let front = model[0].t;
+                match kind {
+                    0 => {
+                        for gap in gaps {
+                            next_t += gap;
+                            push(&mut buffer, &mut model, next_t);
+                        }
+                    }
+                    1 => {
+                        let cursor = front + offset;
+                        prop_assert_eq!(
+                            buffer.trim_before(cursor),
+                            reference::trim(&mut model, cursor)
+                        );
+                    }
+                    _ => {
+                        let (start, end) = (front + offset, front + offset + len);
+                        let runs: Vec<Vec<TrajPoint>> = buffer
+                            .runs_for_window(start, end, horizon)
+                            .into_iter()
+                            .map(<[TrajPoint]>::to_vec)
+                            .collect();
+                        prop_assert_eq!(runs, reference::runs(&model, start, end, horizon));
+                        for t in start..=end {
+                            prop_assert_eq!(
+                                buffer.position_at(t, horizon),
+                                reference::position(&model, t, horizon)
+                            );
+                        }
+                    }
+                }
+                prop_assert_eq!(buffer.samples(), &model[..]);
+                prop_assert_eq!(buffer.len(), model.len());
+                prop_assert_eq!(buffer.last_t(), model[model.len() - 1].t);
+            }
+        }
     }
 }

@@ -381,7 +381,7 @@ fn decode_config(d: &mut Dec<'_>) -> Result<StreamConfig, CheckpointError> {
         _ => return Err(CheckpointError::Malformed("CuTS variant")),
     };
     let delta = d.f64()?;
-    let lambda = d.u64()? as usize;
+    let lambda = usize::try_from(d.u64()?).unwrap_or(usize::MAX);
     let tolerance_mode = match d.u8()? {
         0 => ToleranceMode::Actual,
         1 => ToleranceMode::Global,
@@ -390,10 +390,12 @@ fn decode_config(d: &mut Dec<'_>) -> Result<StreamConfig, CheckpointError> {
     let horizon = d.opt_i64()?;
     let max_candidates = d.opt_u64()?.map(|v| v as usize);
     let query = ConvoyQuery::try_new(m, k, e).map_err(CheckpointError::InvalidQuery)?;
-    if !delta.is_finite() || lambda < 2 {
-        return Err(CheckpointError::Malformed("configuration out of range"));
+    let out_of_range = CheckpointError::Malformed("configuration out of range");
+    if !delta.is_finite() {
+        return Err(out_of_range);
     }
-    Ok(StreamConfig::new(query, delta, lambda)
+    let config = StreamConfig::try_new(query, delta, lambda).map_err(|_| out_of_range)?;
+    Ok(config
         .with_variant(variant)
         .with_tolerance_mode(tolerance_mode)
         .with_eviction(EvictionPolicy {
@@ -751,6 +753,7 @@ impl ConvoyStream {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic on bad fixtures
 mod tests {
     use super::*;
+    use convoy_core::MAX_LAMBDA;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -777,5 +780,27 @@ mod tests {
                 other => panic!("decoded {query:?}: {:?}", other.map(|_| ())),
             }
         }
+    }
+
+    #[test]
+    fn decoded_lambda_is_validated_not_clamped() {
+        // λ written as-is (the public field bypasses the constructor's
+        // clamp): below 2 or past the i64 time axis, decode refuses it.
+        let query = ConvoyQuery::new(2, 3, 1.0);
+        for lambda in [0, 1, MAX_LAMBDA + 1, usize::MAX] {
+            let mut config = StreamConfig::new(query, 0.2, 4);
+            config.lambda = lambda;
+            let bytes = ConvoyStream::new(config).checkpoint_bytes();
+            assert!(
+                matches!(
+                    ConvoyStream::from_checkpoint_bytes(&bytes),
+                    Err(CheckpointError::Malformed("configuration out of range"))
+                ),
+                "λ={lambda} accepted"
+            );
+        }
+        let bytes = ConvoyStream::new(StreamConfig::new(query, 0.2, MAX_LAMBDA)).checkpoint_bytes();
+        let restored = ConvoyStream::from_checkpoint_bytes(&bytes).unwrap();
+        assert_eq!(restored.config().lambda, MAX_LAMBDA);
     }
 }

@@ -1,6 +1,6 @@
 //! Configuration and observability types of the streaming pipeline.
 
-use convoy_core::{CmcStats, ConvoyQuery, CutsVariant};
+use convoy_core::{check_lambda, CmcStats, ConvoyQuery, CutsVariant, LambdaError, MAX_LAMBDA};
 use convoy_obs::{MetricsSnapshot, Recorder, Registry};
 use serde::{Deserialize, Serialize};
 use traj_simplify::ToleranceMode;
@@ -60,9 +60,9 @@ impl EvictionPolicy {
 /// Configuration of a [`crate::ConvoyStream`].
 ///
 /// Unlike the batch [`convoy_core::CutsConfig`], δ and λ are mandatory: the
-/// automatic Section 7.4 guidelines need the whole database, which a live
+/// δ guideline and the λ cost chooser need the whole database, which a live
 /// feed does not have. [`crate::ReplayStream`] derives them the batch way
-/// when replaying a finite database.
+/// ([`crate::replay_config`]) when replaying a finite database.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamConfig {
     /// The convoy query to answer.
@@ -72,8 +72,7 @@ pub struct StreamConfig {
     pub variant: CutsVariant,
     /// Simplification tolerance δ for the sliding-window DP.
     pub delta: f64,
-    /// λ-partition length in time points (clamped to at least 2, matching
-    /// [`trajectory::TimePartition`]).
+    /// λ-partition length in time points, in `2..=`[`MAX_LAMBDA`].
     pub lambda: usize,
     /// Tolerance mode of the filter's range searches.
     pub tolerance_mode: ToleranceMode,
@@ -82,16 +81,37 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// Creates a CuTS-variant stream configuration with no eviction.
+    /// Creates a CuTS-variant stream configuration with no eviction, λ
+    /// clamped into `2..=`[`MAX_LAMBDA`] (so [`StreamConfig::lambda`] is the
+    /// length the stream partitions with). Untrusted λ goes through
+    /// [`StreamConfig::try_new`] instead.
     pub fn new(query: ConvoyQuery, delta: f64, lambda: usize) -> Self {
         StreamConfig {
             query,
             variant: CutsVariant::Cuts,
             delta,
-            lambda: lambda.max(2),
+            lambda: lambda.clamp(2, MAX_LAMBDA),
             tolerance_mode: ToleranceMode::Actual,
             eviction: EvictionPolicy::unbounded(),
         }
+    }
+
+    /// Like [`StreamConfig::new`], rejecting a λ below 2 or above
+    /// [`MAX_LAMBDA`] instead of clamping it.
+    ///
+    /// ```
+    /// use convoy_core::{ConvoyQuery, LambdaError};
+    /// use convoy_stream::StreamConfig;
+    ///
+    /// let query = ConvoyQuery::new(2, 3, 1.0);
+    /// assert_eq!(StreamConfig::try_new(query, 0.5, 4).unwrap().lambda, 4);
+    /// assert_eq!(
+    ///     StreamConfig::try_new(query, 0.5, 0),
+    ///     Err(LambdaError::TooShort(0))
+    /// );
+    /// ```
+    pub fn try_new(query: ConvoyQuery, delta: f64, lambda: usize) -> Result<Self, LambdaError> {
+        Ok(StreamConfig::new(query, delta, check_lambda(lambda)?))
     }
 
     /// Selects the CuTS variant.
@@ -217,6 +237,28 @@ mod tests {
         assert_eq!(config.tolerance_mode, ToleranceMode::Global);
         assert_eq!(config.eviction.horizon, Some(9));
         assert_eq!(StreamConfig::new(query, 0.5, 8).step(), 7);
+        let widest = StreamConfig::new(query, 0.5, usize::MAX);
+        assert_eq!(widest.lambda, MAX_LAMBDA);
+        assert_eq!(widest.step(), i64::MAX - 1);
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_would_clamp() {
+        let query = ConvoyQuery::new(3, 5, 1.0);
+        for bad in [0, 1] {
+            assert_eq!(
+                StreamConfig::try_new(query, 0.5, bad),
+                Err(LambdaError::TooShort(bad))
+            );
+        }
+        assert_eq!(
+            StreamConfig::try_new(query, 0.5, usize::MAX),
+            Err(LambdaError::TooLong(usize::MAX))
+        );
+        assert_eq!(
+            StreamConfig::try_new(query, 0.5, 2),
+            Ok(StreamConfig::new(query, 0.5, 2))
+        );
     }
 
     #[test]

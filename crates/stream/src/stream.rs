@@ -344,6 +344,7 @@ impl ConvoyStream {
                 temporal_prunes: counters.temporal_prunes - counters_before.temporal_prunes,
                 lemma2_prunes: counters.lemma2_prunes - counters_before.lemma2_prunes,
                 omega_evaluations: counters.omega_evaluations - counters_before.omega_evaluations,
+                segment_pairs: counters.segment_pairs - counters_before.segment_pairs,
             }
             .record(&self.obs);
         }
@@ -608,7 +609,8 @@ fn snapshot_from_buffers(
 
 /// Derives a replay [`StreamConfig`] from a batch CuTS configuration
 /// exactly the way [`Discovery::run`] selects its parameters: explicit δ/λ
-/// win, the Section 7.4 guidelines fill the gaps. Shared by
+/// win, the Section 7.4 δ guideline and the cost-based λ chooser
+/// ([`auto_lambda`]) fill the gaps. Shared by
 /// [`ReplayStream`] and the CLI's file-replay mode so their parameters can
 /// never drift apart.
 pub fn replay_config(
@@ -617,10 +619,9 @@ pub fn replay_config(
     query: &ConvoyQuery,
 ) -> StreamConfig {
     let delta = cuts.delta.unwrap_or_else(|| auto_delta(db, query.e));
-    let lambda = cuts.lambda.unwrap_or_else(|| {
-        let simplified = simplify_database(db, cuts, delta);
-        auto_lambda(simplified.iter().map(|(_, s)| s), query.k)
-    });
+    let lambda = cuts
+        .lambda
+        .unwrap_or_else(|| auto_lambda(&simplify_database(db, cuts, delta), query, cuts).lambda);
     StreamConfig::new(*query, delta, lambda)
         .with_variant(cuts.variant)
         .with_tolerance_mode(cuts.tolerance_mode)

@@ -70,5 +70,5 @@ pub use point::TrajPoint;
 pub use source::{publish_scan_stats, ScanStats, TrajectorySource};
 pub use stats::DatasetStats;
 pub use sweep::{ObjectCursor, SnapshotSweep};
-pub use time::{TimeInterval, TimePartition, TimePoint};
+pub use time::{gallop, TimeInterval, TimePartition, TimePoint};
 pub use trajectory::Trajectory;

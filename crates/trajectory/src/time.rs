@@ -182,6 +182,33 @@ impl Iterator for TimePartitionIter {
     }
 }
 
+/// `slice.partition_point(pred)`, found by galloping from the front: the
+/// cost is `O(log i)` for an answer at index `i`, whatever the slice length.
+///
+/// The searches of time-sorted data that move forward with time — a
+/// filter's per-object segment cursor, a stream buffer trimmed from its
+/// front — almost always find their answer near the front, where a plain
+/// binary search would still pay `O(log len)`.
+///
+/// ```
+/// let ticks = [1, 3, 5, 7, 9, 11];
+/// assert_eq!(trajectory::gallop(&ticks, |&t| t < 6), 3);
+/// assert_eq!(trajectory::gallop(&ticks, |&t| t < 0), 0);
+/// assert_eq!(trajectory::gallop(&ticks, |&t| t < 99), 6);
+/// ```
+pub fn gallop<T>(slice: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    // Every index below `lo` satisfies `pred`; probe `hi - 1` at doubling
+    // distances until it fails or runs off the end.
+    let mut lo = 0;
+    let mut hi = 1;
+    while hi <= slice.len() && pred(&slice[hi - 1]) {
+        lo = hi;
+        hi *= 2;
+    }
+    let end = (hi - 1).min(slice.len());
+    lo + slice[lo..end].partition_point(pred)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,6 +350,20 @@ mod tests {
                 prop_assert!(i.start >= b.start && i.end <= b.end);
             } else {
                 prop_assert!(!a.intersects(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_is_partition_point() {
+        let v: Vec<i64> = (0..40).collect();
+        for len in 0..=v.len() {
+            for cut in -1..=41 {
+                assert_eq!(
+                    gallop(&v[..len], |&x| x < cut),
+                    v[..len].partition_point(|&x| x < cut),
+                    "len={len} cut={cut}"
+                );
             }
         }
     }

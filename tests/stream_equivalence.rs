@@ -15,8 +15,11 @@
 
 use convoy_core::cuts::filter::filter;
 use convoy_core::{refine_partitions, CutsConfig};
+use convoy_obs::{Obs, Registry};
+use convoy_stream::replay_config;
 use convoy_suite::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Replays `db` through the stream for every CuTS method and asserts the
 /// bit-identity contract against the batch pipeline.
@@ -124,6 +127,47 @@ fn stream_matches_batch_on_every_dataset_profile() {
         let query = ConvoyQuery::new(profile.m, profile.k, profile.e);
         assert_stream_matches_batch(&data.database, &query, name.name());
     }
+}
+
+#[test]
+fn batch_and_replay_choose_the_same_lambda_on_every_profile() {
+    let mut probed = 0;
+    for name in ProfileName::ALL {
+        let profile = DatasetProfile::named(name).scaled(0.1);
+        let data = generate(&profile, 20080824);
+        let db = &data.database;
+        let query = ConvoyQuery::new(profile.m, profile.k, profile.e);
+        for method in [Method::Cuts, Method::CutsPlus, Method::CutsStar] {
+            let registry = Arc::new(Registry::new());
+            let batch = Discovery::new(method)
+                .with_obs(Obs::registry(registry.clone()))
+                .run(db, &query);
+            let replay = replay_config(Discovery::new(method).config(), db, &query);
+            let seed = registry.counter("cuts.lambda_seed") as usize;
+            let context = format!("{method} on {}", name.name());
+            assert_eq!(batch.stats.lambda, replay.lambda, "{context}");
+            assert!(seed >= 2, "{context}: seed {seed}");
+            assert!(
+                (seed..=query.k.max(seed)).contains(&batch.stats.lambda),
+                "{context}: λ={} outside [seed {seed}, k {}]",
+                batch.stats.lambda,
+                query.k
+            );
+            probed += usize::from(registry.counter("cuts.lambda_probes") > 0);
+
+            // An explicit λ wins over the chooser, in both pipelines.
+            let config = CutsConfig::new(method.cuts_variant().unwrap()).with_lambda(7);
+            let registry = Arc::new(Registry::new());
+            let batch = Discovery::new(method)
+                .with_config(config)
+                .with_obs(Obs::registry(registry.clone()))
+                .run(db, &query);
+            assert_eq!(batch.stats.lambda, 7, "{context}");
+            assert_eq!(replay_config(&config, db, &query).lambda, 7, "{context}");
+            assert_eq!(registry.counter("cuts.lambda_probes"), 0, "{context}");
+        }
+    }
+    assert!(probed > 0, "no profile exercised the cost search");
 }
 
 #[test]
@@ -370,12 +414,8 @@ fn out_of_order_samples_are_rejected_and_do_not_corrupt_equivalence() {
     let discovery = Discovery::new(Method::Cuts);
     let clean = discovery.replay_stream(&data.database, &query);
 
-    let cuts = CutsConfig::new(CutsVariant::Cuts);
-    let delta = convoy_core::auto_delta(&data.database, query.e);
-    let simplified = convoy_core::cuts::filter::simplify_database(&data.database, &cuts, delta);
-    let lambda = convoy_core::auto_lambda(simplified.iter().map(|(_, s)| s), query.k);
-
-    let mut stream = ConvoyStream::new(StreamConfig::new(query, delta, lambda));
+    let config = replay_config(discovery.config(), &data.database, &query);
+    let mut stream = ConvoyStream::new(config);
     let mut samples = data.database.all_samples();
     samples.sort_by_key(|(id, p)| (p.t, *id));
     let mut rejected = 0;
