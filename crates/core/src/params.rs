@@ -29,6 +29,13 @@ pub fn auto_delta(db: &TrajectoryDatabase, e: f64) -> f64 {
 /// clearly pays, so profiles whose cost is flat in λ keep the seed.
 pub const LAMBDA_MARGIN: f64 = 0.10;
 
+/// Standard errors of the sampled cost difference a candidate must clear
+/// on top of [`LAMBDA_MARGIN`]. A saving the sampled windows cannot tell
+/// from the spread between windows keeps the smaller λ, so the choice does
+/// not flip between datasets of one profile (runs of one generator with
+/// different seeds) whose true saving sits near the margin.
+pub const LAMBDA_STANDARD_ERRORS: f64 = 1.0;
+
 /// Windows clustered per candidate λ to estimate its ω work and refine
 /// positions: the windows holding evenly spaced anchor ticks of the domain
 /// (every window, when there are no more than this).
@@ -78,7 +85,8 @@ impl LambdaChoice {
 /// The search starts at the guideline λ_g of [`traj_simplify::select_lambda`]
 /// and tries λ_g·2ⁱ ≤ k in ascending order, moving on only while the next
 /// candidate's estimated cost is at least [`LAMBDA_MARGIN`] below the
-/// current one's. A candidate's cost is
+/// current one's, plus [`LAMBDA_STANDARD_ERRORS`] standard errors of the
+/// sampled part of the difference. A candidate's cost is
 ///
 /// ```text
 /// cost(λ) = a · sub-trajectories + b · ω segment pairs + c · refine positions
@@ -87,8 +95,10 @@ impl LambdaChoice {
 /// The sub-trajectory count is exact (from the simplified time spans); the
 /// other two terms are measured by clustering [`LAMBDA_SAMPLE_WINDOWS`]
 /// windows with the filter's own [`cluster_partition`] and scaled to the
-/// whole domain. The choice is deterministic, so the batch filter and a
-/// stream replay (`convoy_stream::replay_config`) always partition alike.
+/// whole domain; their spread over the windows gives the standard error
+/// (zero when every window is clustered). The choice is deterministic, so
+/// the batch filter and a stream replay (`convoy_stream::replay_config`)
+/// always partition alike.
 pub fn auto_lambda(
     simplified: &[(ObjectId, SimplifiedTrajectory)],
     query: &ConvoyQuery,
@@ -112,7 +122,7 @@ pub fn auto_lambda(
     while next <= query.k {
         let next_cost = estimator.cost(next);
         choice.probes += 1;
-        if next_cost >= cost * (1.0 - LAMBDA_MARGIN) {
+        if !next_cost.pays_over(&cost) {
             break;
         }
         choice.lambda = next;
@@ -165,11 +175,14 @@ impl<'a> CostEstimator<'a> {
 
     /// The estimated filter + refine cost of partitioning with `lambda`, in
     /// nanoseconds of the reference machine.
-    fn cost(&mut self, lambda: usize) -> f64 {
+    fn cost(&mut self, lambda: usize) -> Cost {
         let terms = self.terms(lambda);
-        NS_PER_SUB_TRAJECTORY * terms.sub_trajectories
-            + NS_PER_SEGMENT_PAIR * terms.segment_pairs
-            + NS_PER_REFINE_POSITION * terms.refine_positions
+        Cost {
+            ns: NS_PER_SUB_TRAJECTORY * terms.sub_trajectories
+                + NS_PER_SEGMENT_PAIR * terms.segment_pairs
+                + NS_PER_REFINE_POSITION * terms.refine_positions,
+            standard_error_ns: terms.standard_error_ns,
+        }
     }
 
     /// The three cost terms of partitioning with `lambda`.
@@ -212,6 +225,9 @@ impl<'a> CostEstimator<'a> {
         let mut sampled = 0u32;
         let mut last = None;
         let (mut pairs, mut positions) = (0u64, 0u64);
+        // Sum and sum of squares of each sampled window's share of the
+        // sampled cost terms, in ns.
+        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
         for index in indices {
             if last == Some(index) {
                 continue;
@@ -238,18 +254,36 @@ impl<'a> CostEstimator<'a> {
                 self.mode,
                 &mut self.scratch,
             );
-            pairs += self.scratch.counters().segment_pairs - before;
+            let window_pairs = self.scratch.counters().segment_pairs - before;
+            pairs += window_pairs;
             // The refine fold reads every clustered object at each tick the
             // window owns (its boundary tick belongs to the next window).
             let owned = window.end.saturating_sub(window.start).max(1) as u64;
             let members: usize = clustered.clusters.iter().map(|c| c.len()).sum();
-            positions = positions.saturating_add((members as u64).saturating_mul(owned));
+            let window_positions = (members as u64).saturating_mul(owned);
+            positions = positions.saturating_add(window_positions);
+            let window_cost = NS_PER_SEGMENT_PAIR * window_pairs as f64
+                + NS_PER_REFINE_POSITION * window_positions as f64;
+            sum += window_cost;
+            sum_sq += window_cost * window_cost;
         }
-        let scale = windows as f64 / f64::from(sampled);
+        let n = f64::from(sampled);
+        let scale = windows as f64 / n;
+        // Standard error of the scaled sum of a sample of n of the N
+        // windows (finite-population corrected, so zero when n = N).
+        let standard_error_ns = if sampled > 1 {
+            let variance = ((sum_sq - sum * sum / n) / (n - 1.0)).max(0.0);
+            let population = windows as f64;
+            let correction = ((population - n) / (population - 1.0)).max(0.0);
+            scale * (n * variance * correction).sqrt()
+        } else {
+            0.0
+        };
         CostTerms {
             sub_trajectories,
             segment_pairs: scale * pairs as f64,
             refine_positions: scale * positions as f64,
+            standard_error_ns,
         }
     }
 }
@@ -263,6 +297,27 @@ struct CostTerms {
     segment_pairs: f64,
     /// Positions the refine fold reads (sampled).
     refine_positions: f64,
+    /// Standard error of the two sampled terms' weighted sum, in ns.
+    standard_error_ns: f64,
+}
+
+/// A candidate's estimated cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cost {
+    /// Estimated filter + refine nanoseconds.
+    ns: f64,
+    /// Standard error of `ns` (its sampled part; the rest is exact).
+    standard_error_ns: f64,
+}
+
+impl Cost {
+    /// Returns `true` when this cost undercuts `current` by the
+    /// [`LAMBDA_MARGIN`] plus [`LAMBDA_STANDARD_ERRORS`] standard errors of
+    /// the difference (the two estimates' errors taken as independent).
+    fn pays_over(&self, current: &Cost) -> bool {
+        let error = self.standard_error_ns.hypot(current.standard_error_ns);
+        (1.0 - LAMBDA_MARGIN) * current.ns - self.ns > LAMBDA_STANDARD_ERRORS * error
+    }
 }
 
 #[cfg(test)]
@@ -366,7 +421,28 @@ mod tests {
                     terms.segment_pairs, output.stats.segment_pairs as f64,
                     "λ={lambda}"
                 );
+                assert_eq!(terms.standard_error_ns, 0.0, "λ={lambda}");
+            } else {
+                assert!(
+                    terms.standard_error_ns.is_finite() && terms.standard_error_ns >= 0.0,
+                    "λ={lambda}: {terms:?}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn a_saving_within_the_sampling_error_does_not_pay() {
+        let cost = |ns, standard_error_ns| Cost {
+            ns,
+            standard_error_ns,
+        };
+        // Exact estimates: the plain margin (90 is exactly 10% below 100).
+        assert!(cost(85.0, 0.0).pays_over(&cost(100.0, 0.0)));
+        assert!(!cost(90.0, 0.0).pays_over(&cost(100.0, 0.0)));
+        // A 5 ns clearance beyond the margin against errors of 3 and 4 ns
+        // (5 ns combined) is not significant; against 3 and 3 it is.
+        assert!(!cost(85.0, 3.0).pays_over(&cost(100.0, 4.0)));
+        assert!(cost(85.0, 3.0).pays_over(&cost(100.0, 3.0)));
     }
 }
